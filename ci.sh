@@ -10,8 +10,8 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings (all targets)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --release (whole workspace: the drills below run its bins)"
+cargo build --release --workspace
 
 echo "==> cargo test"
 cargo test --workspace -q
@@ -23,8 +23,10 @@ MIXQ_TELEMETRY=1 MIXQ_TELEMETRY_DIR="$smoke_dir" ./target/release/table1 > /dev/
   --expect counters.tensor.matmul.calls \
   --expect series.train.loss \
   --expect series.search.alpha_entropy \
+  --expect series.search.penalty \
   --expect histograms.search.bits \
-  --expect spans.train_node/epoch
+  --expect spans.train_node/epoch \
+  --expect spans.search/epoch
 rm -rf "$smoke_dir"
 
 echo "==> fault-injection drill (MIXQ_FAULTS with all four kinds)"

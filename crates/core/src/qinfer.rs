@@ -8,9 +8,8 @@
 //! loop. Sparse aggregation uses [`crate::theorem1::quantized_spmm`].
 
 use mixq_faultinject::FaultKind;
-use mixq_nn::ParamSet;
 use mixq_sparse::{CooEntry, CsrMatrix, QuantCsr};
-use mixq_tensor::{Matrix, MixqResult, QuantParams};
+use mixq_tensor::{Matrix, QuantParams};
 
 use crate::theorem1::{quantized_spmm, QmpParams};
 
@@ -469,13 +468,6 @@ pub fn quantize_csr_symmetric(a: &CsrMatrix, bits: u8) -> (QuantCsr, f32) {
         QuantCsr::from_csr(a, bits, |_, _, v| qp.quantize(v)),
         qp.scale,
     )
-}
-
-/// Exports a [`GcnSnapshot`] from a trained [`crate::QGcnNet`]'s quantizers
-/// and weights. Only native (per-tensor) quantizers are supported — the
-/// engine's scope matches the paper's integer execution path.
-pub fn snapshot_qgcn(net: &crate::QGcnNet, ps: &ParamSet) -> MixqResult<GcnSnapshot> {
-    net.snapshot(ps)
 }
 
 #[cfg(test)]

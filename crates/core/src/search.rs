@@ -7,8 +7,7 @@
 
 use mixq_graph::{NodeDataset, NodeTargets};
 use mixq_nn::{
-    load_train_state, save_train_state, Adam, Binding, CheckpointConfig, Fwd, GraphBundle,
-    NodeBundle, ParamId, ParamSet, TrainState,
+    CheckpointConfig, EpochDriver, Fwd, GraphBundle, NodeBundle, ParamId, ParamSet, TrainConfig,
 };
 use mixq_tensor::{softmax_slice, Rng, Tape, Var};
 
@@ -71,11 +70,11 @@ impl Default for SearchConfig {
 /// number of penalized elements (so `λ·Σ C` has the scale of an
 /// element-weighted average bit-width, keeping λ's useful range
 /// dataset-size independent).
-/// Divergence recovery mirrors [`mixq_nn::train_node`]: a non-finite loss
-/// or gradient rolls the whole epoch (Θ **and** α step) back to its start
-/// snapshot with bounded retries — the first retry re-runs unchanged, later
-/// ones shrink the LR by `cfg.backoff`. Exhausting `cfg.max_retries`
-/// restores the last finite state and stops the search early (bumping
+/// Divergence recovery, checkpointing and resume come from
+/// [`EpochDriver`], as in [`mixq_nn::train_node`]: a non-finite loss or
+/// gradient rolls the whole epoch (Θ **and** α step) back to its start
+/// snapshot with bounded retries. Exhausting `cfg.max_retries` restores
+/// the last finite state and stops the search early (bumping
 /// `search.divergence_aborts`), so the extracted assignment always comes
 /// from finite α logits.
 fn train_relaxed(
@@ -84,167 +83,59 @@ fn train_relaxed(
     alpha_ids: &[ParamId],
     mut fwd_loss: impl FnMut(&mut Fwd, bool) -> (Var, Vec<(Var, usize)>),
 ) {
-    let mut rng = Rng::seed_from_u64(cfg.seed);
-    let mut opt = Adam::new(cfg.lr);
-    let mut recovered = 0usize;
-    let mut start_epoch = 0usize;
-
-    if let Some(path) = &cfg.resume_from {
-        if path.exists() {
-            match load_train_state(path) {
-                Ok(st)
-                    if st.params.len() == ps.len()
-                        && st.params.num_scalars() == ps.num_scalars() =>
-                {
-                    *ps = st.params;
-                    opt.lr = st.lr;
-                    opt.set_step_count(st.adam_t);
-                    rng = Rng::from_state(st.rng_state);
-                    recovered = st.recovered;
-                    start_epoch = st.epoch;
-                }
-                _ => mixq_telemetry::counter_add("search.resume_failures", 1),
-            }
-        }
-    }
-
-    let mut retries = 0usize;
-    let mut epoch = start_epoch;
-    while epoch < cfg.epochs {
-        let snap = (ps.clone(), opt.clone(), rng.clone());
-        let _epoch_span = mixq_telemetry::span("search/epoch");
+    let driver_cfg = TrainConfig {
+        epochs: cfg.epochs,
+        lr: cfg.lr,
+        weight_decay: 0.0,
+        seed: cfg.seed,
+        patience: 0,
+        max_retries: cfg.max_retries,
+        backoff: cfg.backoff,
+        grad_clip: None,
+        checkpoint: cfg.checkpoint.clone(),
+        resume_from: cfg.resume_from.clone(),
+    };
+    let mut d = EpochDriver::new(ps, &driver_cfg, "search");
+    d.run("search/epoch", |d| {
         // ---- Θ step on the training loss (α frozen) ----
-        ps.zero_grads();
-        let mut tape = Tape::new();
-        let mut binding = Binding::new();
-        let (loss, _pens) = {
-            let mut f = Fwd {
-                tape: &mut tape,
-                ps,
-                binding: &mut binding,
-                rng: &mut rng,
-                training: true,
-            };
-            fwd_loss(&mut f, false)
-        };
-        let theta_loss = tape.value(loss).item() as f64;
-        tape.backward(loss);
-        ps.pull_grads(&binding, &tape);
-        // Θ-step gradients are in `ps`; buffers go back to the pool before
-        // the α step builds its own tape.
-        tape.recycle();
+        let theta_loss = d.backprop(true, |f| fwd_loss(f, false).0);
         for &id in alpha_ids {
-            ps.grad_zero(id);
+            d.ps.grad_zero(id);
         }
-        let injected =
-            mixq_faultinject::should_fire(mixq_faultinject::FaultKind::GradNan, Some(epoch as u64));
-        if injected {
-            if let Some(&id) = ps.all_ids().first() {
-                ps.grad_mut(id).data_mut()[0] = f32::NAN;
-            }
-        }
-        let mut healthy = theta_loss.is_finite() && ps.grads_finite();
-        if healthy {
-            opt.step(ps);
+        d.check(theta_loss)?;
+        d.opt.step(d.ps);
 
-            // ---- α step on the validation loss + penalty (Θ frozen) ----
-            if epoch >= cfg.warmup {
-                ps.zero_grads();
-                let mut tape = Tape::new();
-                let mut binding = Binding::new();
-                let (loss, pens) = {
-                    let mut f = Fwd {
-                        tape: &mut tape,
-                        ps,
-                        binding: &mut binding,
-                        rng: &mut rng,
-                        training: false,
-                    };
-                    fwd_loss(&mut f, true)
-                };
+        // ---- α step on the validation loss + penalty (Θ frozen) ----
+        if d.epoch() >= cfg.warmup {
+            let alpha_loss = d.backprop(false, |f| {
+                let (loss, pens) = fwd_loss(f, true);
                 let total_elems: usize = pens.iter().map(|&(_, n)| n).sum();
-                // bit_penalty is already divided by 1024·8; undo that and divide
-                // by the architecture size instead.
-                // The 0.15 factor calibrates λ's useful range to the paper's
-                // reported [−0.1, 1] interval (see Fig. 9 reproduction).
+                // bit_penalty is already divided by 1024·8; undo that and
+                // divide by the architecture size instead. The 0.02 factor
+                // calibrates λ's useful range to the paper's reported
+                // [−0.1, 1] interval (see Fig. 9 reproduction).
                 let norm = 0.02 * cfg.lambda * (1024.0 * 8.0) / total_elems.max(1) as f32;
                 if mixq_telemetry::enabled() {
                     // The λ·ΣC(T) penalty actually added to the α objective.
                     let penalty: f64 = pens
                         .iter()
-                        .map(|&(p, _)| tape.value(p).item() as f64 * norm as f64)
+                        .map(|&(p, _)| f.tape.value(p).item() as f64 * norm as f64)
                         .sum();
                     mixq_telemetry::series_push("search.penalty", penalty);
                 }
-                let mut total = loss;
-                for (p, _) in pens {
-                    let sp = tape.scale(p, norm);
-                    total = tape.add(total, sp);
-                }
-                let alpha_loss = tape.value(total).item() as f64;
-                tape.backward(total);
-                ps.pull_grads(&binding, &tape);
-                tape.recycle();
-                for id in ps.all_ids() {
-                    if !alpha_ids.contains(&id) {
-                        ps.grad_zero(id);
-                    }
-                }
-                healthy = alpha_loss.is_finite() && ps.grads_finite();
-                if healthy {
-                    opt.step(ps);
+                pens.into_iter().fold(loss, |total, (p, _)| {
+                    let sp = f.tape.scale(p, norm);
+                    f.tape.add(total, sp)
+                })
+            });
+            for id in d.ps.all_ids() {
+                if !alpha_ids.contains(&id) {
+                    d.ps.grad_zero(id);
                 }
             }
+            d.check(alpha_loss)?;
+            d.opt.step(d.ps);
         }
-
-        if !healthy {
-            if retries >= cfg.max_retries {
-                // Give up: restore the last finite state so extract()
-                // reads sane α logits, and stop the search early.
-                let (sp, _, _) = snap;
-                *ps = sp;
-                mixq_telemetry::counter_add("search.divergence_aborts", 1);
-                break;
-            }
-            retries += 1;
-            recovered += 1;
-            let (sp, so, sr) = snap;
-            *ps = sp;
-            opt = so;
-            rng = sr;
-            if retries > 1 {
-                opt.lr *= cfg.backoff;
-            }
-            mixq_telemetry::counter_add("search.divergence_rollbacks", 1);
-            if injected {
-                mixq_faultinject::mark_recovered();
-            }
-            continue;
-        }
-        retries = 0;
-
-        if let Some(ck) = &cfg.checkpoint {
-            if (epoch + 1).is_multiple_of(ck.every) {
-                let st = TrainState {
-                    epoch: epoch + 1,
-                    lr: opt.lr,
-                    adam_t: opt.step_count(),
-                    rng_state: rng.state(),
-                    best_val: f64::NEG_INFINITY,
-                    best_epoch: 0,
-                    recovered,
-                    params: ps.clone(),
-                    best_params: ParamSet::new(),
-                };
-                if save_train_state(&st, &ck.path).is_err() {
-                    mixq_telemetry::counter_add("search.checkpoint_failures", 1);
-                    if mixq_faultinject::enabled() {
-                        mixq_faultinject::mark_recovered();
-                    }
-                }
-            }
-        }
-        epoch += 1;
 
         if mixq_telemetry::enabled() && !alpha_ids.is_empty() {
             // Mean Shannon entropy of the α softmax distributions: high at
@@ -252,7 +143,7 @@ fn train_relaxed(
             // search commits to bit-widths.
             let mut entropy = 0.0f64;
             for &id in alpha_ids {
-                let probs = softmax_slice(ps.value(id).data());
+                let probs = softmax_slice(d.ps.value(id).data());
                 entropy -= probs
                     .iter()
                     .filter(|&&p| p > 0.0)
@@ -261,7 +152,8 @@ fn train_relaxed(
             }
             mixq_telemetry::series_push("search.alpha_entropy", entropy / alpha_ids.len() as f64);
         }
-    }
+        Some(false)
+    });
 }
 
 /// Records the outcome of a bit-width search: one `search.bits` histogram

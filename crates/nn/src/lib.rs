@@ -5,6 +5,7 @@
 //! in the paper runs through the same trainer.
 
 pub mod conv;
+mod driver;
 pub mod layers;
 pub mod metrics;
 pub mod models;
@@ -16,6 +17,7 @@ pub use conv::{
     with_self_loops, AppnpProp, GatConv, GcnConv, GinConv, SageConv, SgcConv, TagConv,
     TransformerConv,
 };
+pub use driver::EpochDriver;
 pub use layers::{BatchNorm1d, Linear, Mlp};
 pub use metrics::{
     accuracy, confusion_matrix, macro_f1, mean_std, pearson, roc_auc, roc_auc_mean, spearman,

@@ -15,11 +15,10 @@ use mixq_tensor::{Matrix, MixqError, MixqResult, Rng, SpPair, Tape, Var};
 use crate::conv::{
     AppnpProp, GatConv, GcnConv, GinConv, SageConv, SgcConv, TagConv, TransformerConv,
 };
+use crate::driver::EpochDriver;
 use crate::layers::{Linear, Mlp};
 use crate::metrics::{accuracy, roc_auc_mean};
-use crate::optim::{clip_grad_norm, Adam};
 use crate::param::{Binding, Fwd, ParamSet};
-use crate::serialize::{load_train_state, save_train_state, TrainState};
 
 /// Preprocessed views of one node-classification graph: features plus the
 /// three adjacency flavours the layer zoo needs, each with its transpose.
@@ -703,72 +702,6 @@ pub struct GraphTrainReport {
     pub diverged: bool,
 }
 
-/// Loads the resume checkpoint named by `cfg.resume_from`, if any. Missing
-/// files start fresh silently (first run and restart share one config);
-/// unreadable or shape-mismatched states start fresh and bump `counter`.
-fn load_resume_state(cfg: &TrainConfig, ps: &ParamSet, counter: &str) -> Option<TrainState> {
-    let path = cfg.resume_from.as_ref()?;
-    if !path.exists() {
-        return None;
-    }
-    match load_train_state(path) {
-        Ok(st) if st.params.len() == ps.len() && st.params.num_scalars() == ps.num_scalars() => {
-            Some(st)
-        }
-        _ => {
-            mixq_telemetry::counter_add(counter, 1);
-            None
-        }
-    }
-}
-
-/// One epoch's rollback snapshot: parameters (with Adam moments), optimizer
-/// scalars (incl. step count) and the RNG stream position.
-type Snapshot = (ParamSet, Adam, Rng);
-
-/// Shared per-epoch divergence handling: after `pull_grads`, checks that
-/// the loss and every gradient are finite; on divergence restores the
-/// epoch-start snapshot and schedules a retry (the first retry re-runs the
-/// epoch unchanged, later ones also multiply the LR by `cfg.backoff`).
-///
-/// Returns `Some(true)` for "healthy, proceed", `Some(false)` for "rolled
-/// back, retry the epoch", `None` for "retries exhausted, stop: diverged".
-#[allow(clippy::too_many_arguments)]
-fn check_divergence(
-    cfg: &TrainConfig,
-    loss: f64,
-    injected: bool,
-    snap: Snapshot,
-    ps: &mut ParamSet,
-    opt: &mut Adam,
-    rng: &mut Rng,
-    retries: &mut usize,
-    recovered: &mut usize,
-    counter: &str,
-) -> Option<bool> {
-    if loss.is_finite() && ps.grads_finite() {
-        *retries = 0;
-        return Some(true);
-    }
-    if *retries >= cfg.max_retries {
-        return None;
-    }
-    *retries += 1;
-    *recovered += 1;
-    let (sp, so, sr) = snap;
-    *ps = sp;
-    *opt = so;
-    *rng = sr;
-    if *retries > 1 {
-        opt.lr *= cfg.backoff;
-    }
-    mixq_telemetry::counter_add(counter, 1);
-    if injected {
-        mixq_faultinject::mark_recovered();
-    }
-    Some(false)
-}
-
 /// Trains a node-classification network full-batch with Adam, selecting the
 /// parameters at the best validation metric (accuracy or ROC-AUC, depending
 /// on the dataset's targets) and reporting the matching test metric.
@@ -777,9 +710,9 @@ fn check_divergence(
 /// snapshot with bounded retries (see [`TrainConfig::max_retries`]); the
 /// outcome is surfaced in [`TrainReport::recovered_divergences`] /
 /// [`TrainReport::diverged`]. With [`TrainConfig::checkpoint`] set, a
-/// crash-safe [`TrainState`] is written periodically, and
+/// crash-safe [`TrainState`](crate::TrainState) is written periodically, and
 /// [`TrainConfig::resume_from`] continues an interrupted run bit-identically
-/// to an uninterrupted one.
+/// to an uninterrupted one. The [`EpochDriver`] implements all of this.
 pub fn train_node<M: NodeNet>(
     model: &mut M,
     ps: &mut ParamSet,
@@ -787,149 +720,47 @@ pub fn train_node<M: NodeNet>(
     bundle: &NodeBundle,
     cfg: &TrainConfig,
 ) -> TrainReport {
-    let mut rng = Rng::seed_from_u64(cfg.seed);
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-    let mut best_val = f64::NEG_INFINITY;
-    let mut best_epoch = 0usize;
-    let mut best_ps = ps.clone();
-    let mut last_loss = f64::NAN;
-    let mut recovered = 0usize;
-    let mut diverged = false;
-    let mut start_epoch = 0usize;
-
-    if let Some(st) = load_resume_state(cfg, ps, "train.resume_failures") {
-        *ps = st.params;
-        opt.lr = st.lr;
-        opt.set_step_count(st.adam_t);
-        rng = Rng::from_state(st.rng_state);
-        best_val = st.best_val;
-        best_epoch = st.best_epoch;
-        recovered = st.recovered;
-        best_ps = if st.best_params.is_empty() {
-            ps.clone()
-        } else {
-            st.best_params
-        };
-        start_epoch = st.epoch;
+    let mut d = EpochDriver::new(ps, cfg, "train");
+    if d.best_params.is_empty() {
+        d.best_params = d.ps.clone();
     }
-
-    let mut retries = 0usize;
-    let mut epoch = start_epoch;
-    while epoch < cfg.epochs {
-        let snap: Snapshot = (ps.clone(), opt.clone(), rng.clone());
-        let _epoch_span = mixq_telemetry::span("train_node/epoch");
-        ps.zero_grads();
-        let mut tape = Tape::new();
-        let mut binding = Binding::new();
-        let mut f = Fwd {
-            tape: &mut tape,
-            ps,
-            binding: &mut binding,
-            rng: &mut rng,
-            training: true,
-        };
-        let x = f.tape.constant(bundle.features.clone_pooled());
-        let logits = model.forward(&mut f, bundle, x);
-        let loss = match &ds.targets {
-            NodeTargets::SingleLabel { labels, .. } => {
-                let targets: Vec<usize> = ds.train_idx.iter().map(|&i| labels[i]).collect();
-                let lp = tape.log_softmax(logits);
-                tape.nll_masked(lp, &ds.train_idx, &targets)
-            }
-            NodeTargets::MultiLabel(t) => tape.bce_with_logits_masked(logits, t, &ds.train_idx),
-        };
-        last_loss = tape.value(loss).item() as f64;
-        tape.backward(loss);
-        ps.pull_grads(&binding, &tape);
-        // Gradients are copied into `ps`; hand every tape buffer back to the
-        // pool so the next epoch's forward pass reuses them.
-        tape.recycle();
-
-        let injected =
-            mixq_faultinject::should_fire(mixq_faultinject::FaultKind::GradNan, Some(epoch as u64));
-        if injected {
-            if let Some(&id) = ps.all_ids().first() {
-                ps.grad_mut(id).data_mut()[0] = f32::NAN;
-            }
-        }
-        match check_divergence(
-            cfg,
-            last_loss,
-            injected,
-            snap,
-            ps,
-            &mut opt,
-            &mut rng,
-            &mut retries,
-            &mut recovered,
-            "train.divergence_rollbacks",
-        ) {
-            Some(true) => {}
-            Some(false) => continue,
-            None => {
-                diverged = true;
-                break;
-            }
-        }
-
-        let pre_clip_norm = cfg.grad_clip.map(|maxn| clip_grad_norm(ps, maxn) as f64);
-        if mixq_telemetry::enabled() {
-            mixq_telemetry::series_push("train.loss", last_loss);
-            mixq_telemetry::series_push("train.lr", opt.lr as f64);
-            mixq_telemetry::series_push(
-                "train.grad_norm",
-                pre_clip_norm.unwrap_or_else(|| ps.grad_norm()),
-            );
-        }
-        opt.step(ps);
-
-        let val = eval_node(model, ps, ds, bundle, &ds.val_idx, &mut rng);
-        mixq_telemetry::series_push("train.val_metric", val);
-        let mut stop = false;
-        if val > best_val {
-            best_val = val;
-            best_epoch = epoch;
-            best_ps = ps.clone();
-        } else if cfg.patience > 0 && epoch - best_epoch >= cfg.patience {
-            stop = true;
-        }
-        if let Some(ck) = &cfg.checkpoint {
-            if (epoch + 1).is_multiple_of(ck.every) {
-                let st = TrainState {
-                    epoch: epoch + 1,
-                    lr: opt.lr,
-                    adam_t: opt.step_count(),
-                    rng_state: rng.state(),
-                    best_val,
-                    best_epoch,
-                    recovered,
-                    params: ps.clone(),
-                    best_params: best_ps.clone(),
-                };
-                if save_train_state(&st, &ck.path).is_err() {
-                    // Checkpointing must never kill training: count it,
-                    // keep the previous durable checkpoint, move on.
-                    mixq_telemetry::counter_add("train.checkpoint_failures", 1);
-                    if mixq_faultinject::enabled() {
-                        mixq_faultinject::mark_recovered();
-                    }
+    let mut last_loss = f64::NAN;
+    d.run("train_node/epoch", |d| {
+        last_loss = d.backprop(true, |f| {
+            let x = f.tape.constant(bundle.features.clone_pooled());
+            let logits = model.forward(f, bundle, x);
+            match &ds.targets {
+                NodeTargets::SingleLabel { labels, .. } => {
+                    let targets: Vec<usize> = ds.train_idx.iter().map(|&i| labels[i]).collect();
+                    let lp = f.tape.log_softmax(logits);
+                    f.tape.nll_masked(lp, &ds.train_idx, &targets)
+                }
+                NodeTargets::MultiLabel(t) => {
+                    f.tape.bce_with_logits_masked(logits, t, &ds.train_idx)
                 }
             }
+        });
+        d.check(last_loss)?;
+        d.clip_and_step(last_loss);
+        let val = eval_node(model, d.ps, ds, bundle, &ds.val_idx, &mut d.rng);
+        mixq_telemetry::series_push("train.val_metric", val);
+        if val > d.best_val {
+            d.best_val = val;
+            d.best_epoch = d.epoch;
+            d.best_params = d.ps.clone();
+            return Some(false);
         }
-        if stop {
-            break;
-        }
-        epoch += 1;
-    }
-    *ps = best_ps;
-    let test_metric = eval_node(model, ps, ds, bundle, &ds.test_idx, &mut rng);
+        Some(cfg.patience > 0 && d.epoch - d.best_epoch >= cfg.patience)
+    });
+    *d.ps = std::mem::take(&mut d.best_params);
+    let test_metric = eval_node(model, d.ps, ds, bundle, &ds.test_idx, &mut d.rng);
     TrainReport {
-        best_val,
+        best_val: d.best_val,
         test_metric,
-        best_epoch,
+        best_epoch: d.best_epoch,
         final_train_loss: last_loss,
-        recovered_divergences: recovered,
-        diverged,
+        recovered_divergences: d.recovered,
+        diverged: d.diverged,
     }
 }
 
@@ -971,112 +802,22 @@ pub fn train_graph<M: GraphNet>(
     test: &GraphBundle,
     cfg: &TrainConfig,
 ) -> GraphTrainReport {
-    let mut rng = Rng::seed_from_u64(cfg.seed);
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
     let rows: Vec<usize> = (0..train.num_graphs()).collect();
+    let mut d = EpochDriver::new(ps, cfg, "train_graph");
     let mut last_loss = f64::NAN;
-    let mut recovered = 0usize;
-    let mut diverged = false;
-    let mut start_epoch = 0usize;
-
-    if let Some(st) = load_resume_state(cfg, ps, "train_graph.resume_failures") {
-        *ps = st.params;
-        opt.lr = st.lr;
-        opt.set_step_count(st.adam_t);
-        rng = Rng::from_state(st.rng_state);
-        recovered = st.recovered;
-        start_epoch = st.epoch;
-    }
-
-    let mut retries = 0usize;
-    let mut epoch = start_epoch;
-    while epoch < cfg.epochs {
-        let snap: Snapshot = (ps.clone(), opt.clone(), rng.clone());
-        let _epoch_span = mixq_telemetry::span("train_graph/epoch");
-        ps.zero_grads();
-        let mut tape = Tape::new();
-        let mut binding = Binding::new();
-        let mut f = Fwd {
-            tape: &mut tape,
-            ps,
-            binding: &mut binding,
-            rng: &mut rng,
-            training: true,
-        };
-        let x = f.tape.constant(train.features.clone_pooled());
-        let logits = model.forward(&mut f, train, x);
-        let lp = tape.log_softmax(logits);
-        let loss = tape.nll_masked(lp, &rows, &train.labels);
-        last_loss = tape.value(loss).item() as f64;
-        tape.backward(loss);
-        ps.pull_grads(&binding, &tape);
-        // As in `train_node`: gradients are in `ps`, buffers go back to the
-        // pool for the next epoch.
-        tape.recycle();
-
-        let injected =
-            mixq_faultinject::should_fire(mixq_faultinject::FaultKind::GradNan, Some(epoch as u64));
-        if injected {
-            if let Some(&id) = ps.all_ids().first() {
-                ps.grad_mut(id).data_mut()[0] = f32::NAN;
-            }
-        }
-        match check_divergence(
-            cfg,
-            last_loss,
-            injected,
-            snap,
-            ps,
-            &mut opt,
-            &mut rng,
-            &mut retries,
-            &mut recovered,
-            "train_graph.divergence_rollbacks",
-        ) {
-            Some(true) => {}
-            Some(false) => continue,
-            None => {
-                diverged = true;
-                break;
-            }
-        }
-
-        let pre_clip_norm = cfg.grad_clip.map(|maxn| clip_grad_norm(ps, maxn) as f64);
-        if mixq_telemetry::enabled() {
-            mixq_telemetry::series_push("train_graph.loss", last_loss);
-            mixq_telemetry::series_push("train_graph.lr", opt.lr as f64);
-            mixq_telemetry::series_push(
-                "train_graph.grad_norm",
-                pre_clip_norm.unwrap_or_else(|| ps.grad_norm()),
-            );
-        }
-        opt.step(ps);
-
-        if let Some(ck) = &cfg.checkpoint {
-            if (epoch + 1).is_multiple_of(ck.every) {
-                let st = TrainState {
-                    epoch: epoch + 1,
-                    lr: opt.lr,
-                    adam_t: opt.step_count(),
-                    rng_state: rng.state(),
-                    best_val: f64::NEG_INFINITY,
-                    best_epoch: 0,
-                    recovered,
-                    params: ps.clone(),
-                    best_params: ParamSet::new(),
-                };
-                if save_train_state(&st, &ck.path).is_err() {
-                    mixq_telemetry::counter_add("train_graph.checkpoint_failures", 1);
-                    if mixq_faultinject::enabled() {
-                        mixq_faultinject::mark_recovered();
-                    }
-                }
-            }
-        }
-        epoch += 1;
-    }
-    let train_acc = eval_graph(model, ps, train, &mut rng);
-    let test_acc = eval_graph(model, ps, test, &mut rng);
+    d.run("train_graph/epoch", |d| {
+        last_loss = d.backprop(true, |f| {
+            let x = f.tape.constant(train.features.clone_pooled());
+            let logits = model.forward(f, train, x);
+            let lp = f.tape.log_softmax(logits);
+            f.tape.nll_masked(lp, &rows, &train.labels)
+        });
+        d.check(last_loss)?;
+        d.clip_and_step(last_loss);
+        Some(false)
+    });
+    let train_acc = eval_graph(model, d.ps, train, &mut d.rng);
+    let test_acc = eval_graph(model, d.ps, test, &mut d.rng);
     if mixq_telemetry::enabled() {
         mixq_telemetry::gauge_set("train_graph.train_accuracy", train_acc);
         mixq_telemetry::gauge_set("train_graph.test_accuracy", test_acc);
@@ -1085,8 +826,8 @@ pub fn train_graph<M: GraphNet>(
         train_acc,
         test_acc,
         final_train_loss: last_loss,
-        recovered_divergences: recovered,
-        diverged,
+        recovered_divergences: d.recovered,
+        diverged: d.diverged,
     }
 }
 

@@ -8,12 +8,14 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use mixq::core::{GcnLayerSnapshot, GcnSnapshot, QuantizedGcn};
+use mixq::core::{
+    search_gcn_bits, BitAssignment, GcnLayerSnapshot, GcnSnapshot, QuantizedGcn, SearchConfig,
+};
 use mixq::faultinject;
-use mixq::graph::{citation_like, CitationConfig, NodeDataset};
+use mixq::graph::{citation_like, proteins_like, CitationConfig, NodeDataset};
 use mixq::nn::{
-    load_params, params_to_string, save_params, train_node, GcnNet, NodeBundle, ParamSet,
-    TrainConfig,
+    load_params, params_to_string, save_params, train_graph, train_node, CheckpointConfig,
+    GcnGraphNet, GcnNet, GraphBundle, GraphTrainReport, NodeBundle, ParamSet, TrainConfig,
 };
 use mixq::sparse::{gcn_normalize, CooEntry, CsrMatrix};
 use mixq::tensor::{Matrix, QuantParams, Rng};
@@ -268,4 +270,264 @@ fn checkpoint_resume_is_bit_identical_to_straight_run() {
     assert_eq!(rep_straight.test_metric, rep_resumed.test_metric);
     assert_eq!(rep_straight.final_train_loss, rep_resumed.final_train_loss);
     let _ = std::fs::remove_file(&ckpt);
+}
+
+// ---- train_graph and the relaxed search through the same recovery paths ----
+//
+// Rollback and resume restore what the epoch driver snapshots: the
+// `ParamSet` (with Adam moments), the optimizer and the RNG. State a net
+// keeps outside its `ParamSet` is not part of that snapshot: BatchNorm
+// running statistics (`GinGraphNet`) and the EMA range observers of the
+// quantized and relaxed nets. The graph tests below therefore use
+// `GcnGraphNet`, whose state is all in its `ParamSet`, and the search tests
+// assert only what holds for the relaxed nets' observers.
+
+/// Runs `f` with telemetry on and returns the values it appended to series
+/// `name`.
+fn series_added(name: &str, f: impl FnOnce()) -> Vec<f64> {
+    mixq::telemetry::set_enabled(true);
+    let series = || {
+        mixq::telemetry::snapshot()
+            .series
+            .into_iter()
+            .find(|(k, _)| k == name)
+            .map_or_else(Vec::new, |(_, v)| v)
+    };
+    let before = series().len();
+    f();
+    series().split_off(before)
+}
+
+/// Current value of telemetry counter `name` (0 if never bumped).
+fn counter(name: &str) -> u64 {
+    mixq::telemetry::set_enabled(true);
+    mixq::telemetry::snapshot()
+        .counters
+        .into_iter()
+        .find(|(k, _)| k == name)
+        .map_or(0, |(_, v)| v)
+}
+
+fn bits(s: &[f64]) -> Vec<u64> {
+    s.iter().map(|v| v.to_bits()).collect()
+}
+
+fn graph_train_tiny(cfg: &TrainConfig) -> (GraphTrainReport, String) {
+    let ds = proteins_like(7, 20);
+    let train = GraphBundle::from_graphs(&ds, &(0..14).collect::<Vec<_>>());
+    let test = GraphBundle::from_graphs(&ds, &(14..20).collect::<Vec<_>>());
+    let mut rng = Rng::seed_from_u64(7);
+    let mut ps = ParamSet::new();
+    let mut net = GcnGraphNet::new(&mut ps, ds.feat_dim(), 8, ds.num_classes, 2, &mut rng);
+    let rep = train_graph(&mut net, &mut ps, &train, &test, cfg);
+    (rep, params_to_string(&ps))
+}
+
+fn assert_same_graph_run(a: &(GraphTrainReport, String), b: &(GraphTrainReport, String)) {
+    assert_eq!(a.1, b.1, "parameters must be bit-identical");
+    assert_eq!(a.0.train_acc.to_bits(), b.0.train_acc.to_bits());
+    assert_eq!(a.0.test_acc.to_bits(), b.0.test_acc.to_bits());
+    assert_eq!(
+        a.0.final_train_loss.to_bits(),
+        b.0.final_train_loss.to_bits()
+    );
+}
+
+/// A relaxed GCN search on the tiny dataset: the returned assignment and the
+/// α-entropy series it exported.
+fn search_tiny(cfg: &SearchConfig) -> (BitAssignment, Vec<f64>) {
+    let ds = tiny_dataset(5);
+    let bundle = NodeBundle::new(&ds);
+    let dims = [ds.feat_dim(), 8, ds.num_classes()];
+    let mut a = None;
+    let entropy = series_added("search.alpha_entropy", || {
+        a = Some(search_gcn_bits(&ds, &bundle, &dims, &[2, 4, 8], 0.5, cfg));
+    });
+    (a.unwrap(), entropy)
+}
+
+fn quick_search_cfg() -> SearchConfig {
+    SearchConfig {
+        epochs: 8,
+        lr: 0.05,
+        lambda: 0.1,
+        seed: 5,
+        warmup: 1,
+        ..SearchConfig::default()
+    }
+}
+
+#[test]
+fn graph_nan_gradient_recovery_is_bit_identical_to_clean_run() {
+    let cfg = quick_cfg();
+    let _guard = FaultGuard::with_spec("grad_nan@epoch=2");
+    let faulted = graph_train_tiny(&cfg);
+    assert_eq!(faulted.0.recovered_divergences, 1, "one rollback expected");
+    assert!(!faulted.0.diverged);
+    assert_eq!(faultinject::recovered_count(), 1);
+
+    faultinject::clear();
+    let clean = graph_train_tiny(&cfg);
+    assert_eq!(clean.0.recovered_divergences, 0);
+    assert_same_graph_run(&faulted, &clean);
+}
+
+#[test]
+fn graph_checkpoint_resume_is_bit_identical_to_straight_run() {
+    let _guard = FaultGuard::clean();
+    let ckpt = std::env::temp_dir().join(format!("mixq_ft_graph_{}.ckpt", std::process::id()));
+    let _ = std::fs::remove_file(&ckpt);
+
+    let straight = graph_train_tiny(&quick_cfg());
+    let first = TrainConfig {
+        epochs: 3,
+        checkpoint: Some(CheckpointConfig {
+            path: ckpt.clone(),
+            every: 3,
+        }),
+        ..quick_cfg()
+    };
+    let _ = graph_train_tiny(&first);
+    assert!(ckpt.exists(), "checkpoint must be written at epoch 3");
+    let second = TrainConfig {
+        resume_from: Some(ckpt.clone()),
+        ..quick_cfg()
+    };
+    let resumed = graph_train_tiny(&second);
+    let _ = std::fs::remove_file(&ckpt);
+    assert_same_graph_run(&straight, &resumed);
+}
+
+#[test]
+fn graph_exhausted_retries_restore_the_epoch_start_snapshot() {
+    // Epoch 2 diverges on every retry: training stops with the parameters
+    // of the epoch-2 start, i.e. those of a clean two-epoch run.
+    let _guard = FaultGuard::with_spec(
+        "grad_nan@epoch=2,grad_nan@epoch=2,grad_nan@epoch=2,grad_nan@epoch=2",
+    );
+    let aborts = counter("train_graph.divergence_aborts");
+    let (rep, params) = graph_train_tiny(&quick_cfg());
+    assert!(rep.diverged, "retries exhausted ⇒ diverged");
+    assert_eq!(rep.recovered_divergences, 3);
+    assert_eq!(counter("train_graph.divergence_aborts"), aborts + 1);
+
+    faultinject::clear();
+    let (_, clean) = graph_train_tiny(&TrainConfig {
+        epochs: 2,
+        ..quick_cfg()
+    });
+    assert_eq!(params, clean);
+}
+
+#[test]
+fn search_nan_gradient_rollback_retries_the_epoch() {
+    // The retried epoch re-observes its activations into the relaxed
+    // quantizers' EMA observers, so from the faulted epoch on the search
+    // drifts from a clean run (see the note above); before it, and in the
+    // bookkeeping, the two agree.
+    let cfg = quick_search_cfg();
+    let _guard = FaultGuard::with_spec("grad_nan@epoch=2");
+    let rollbacks = counter("search.divergence_rollbacks");
+    let (a_f, entropy_f) = search_tiny(&cfg);
+    assert_eq!(counter("search.divergence_rollbacks"), rollbacks + 1);
+    assert_eq!(faultinject::recovered_count(), 1);
+    assert_eq!(entropy_f.len(), cfg.epochs, "every epoch completes");
+    assert!(entropy_f.iter().all(|e| e.is_finite()));
+    assert!(a_f.bits.iter().all(|b| [2u8, 4, 8].contains(b)));
+
+    faultinject::clear();
+    let (_, entropy_c) = search_tiny(&cfg);
+    assert_eq!(bits(&entropy_f[..2]), bits(&entropy_c[..2]));
+}
+
+#[test]
+fn search_checkpoint_restores_alpha_and_resumes_at_its_epoch() {
+    let _guard = FaultGuard::clean();
+    let ckpt = std::env::temp_dir().join(format!("mixq_ft_search_{}.ckpt", std::process::id()));
+    let _ = std::fs::remove_file(&ckpt);
+    let resume_failures = counter("search.resume_failures");
+
+    // Stop after epoch 5 (past warm-up, so α and its Adam moments are in
+    // the checkpoint).
+    let first = SearchConfig {
+        epochs: 5,
+        checkpoint: Some(CheckpointConfig {
+            path: ckpt.clone(),
+            every: 5,
+        }),
+        ..quick_search_cfg()
+    };
+    let (a_first, entropy_first) = search_tiny(&first);
+    assert_eq!(entropy_first.len(), 5);
+    assert!(ckpt.exists(), "checkpoint must be written at epoch 5");
+
+    // Resuming the finished run runs no epoch and extracts the
+    // checkpointed α: the same assignment.
+    let (a_done, entropy_done) = search_tiny(&SearchConfig {
+        epochs: 5,
+        resume_from: Some(ckpt.clone()),
+        ..quick_search_cfg()
+    });
+    assert_eq!(a_done, a_first);
+    assert!(entropy_done.is_empty());
+
+    // Resuming the longer run continues at epoch 5.
+    let (_, entropy_rest) = search_tiny(&SearchConfig {
+        resume_from: Some(ckpt.clone()),
+        ..quick_search_cfg()
+    });
+    assert_eq!(entropy_rest.len(), 3);
+    assert_eq!(counter("search.resume_failures"), resume_failures);
+
+    // A checkpoint of other shapes is refused: the search starts fresh and
+    // matches a straight run bit for bit.
+    let mut other = ParamSet::new();
+    other.add(Matrix::zeros(2, 2));
+    mixq::nn::save_train_state(
+        &mixq::nn::TrainState {
+            epoch: 3,
+            lr: 0.05,
+            adam_t: 3,
+            rng_state: Rng::seed_from_u64(1).state(),
+            best_val: f64::NEG_INFINITY,
+            best_epoch: 0,
+            recovered: 0,
+            params: other,
+            best_params: ParamSet::new(),
+        },
+        &ckpt,
+    )
+    .expect("write mismatched checkpoint");
+    let (a_fresh, entropy_fresh) = search_tiny(&SearchConfig {
+        resume_from: Some(ckpt.clone()),
+        ..quick_search_cfg()
+    });
+    let _ = std::fs::remove_file(&ckpt);
+    assert_eq!(counter("search.resume_failures"), resume_failures + 1);
+    let (a_straight, entropy_straight) = search_tiny(&quick_search_cfg());
+    assert_eq!(a_fresh, a_straight);
+    assert_eq!(bits(&entropy_fresh), bits(&entropy_straight));
+}
+
+#[test]
+fn search_exhausted_retries_aborts_with_finite_alpha() {
+    // Epoch 2 diverges on every retry: the search restores the epoch-start
+    // snapshot and stops, so its α equals a clean two-epoch search's.
+    let _guard = FaultGuard::with_spec(
+        "grad_nan@epoch=2,grad_nan@epoch=2,grad_nan@epoch=2,grad_nan@epoch=2,grad_nan@epoch=2",
+    );
+    let cfg = SearchConfig {
+        max_retries: 3,
+        ..quick_search_cfg()
+    };
+    let aborts = counter("search.divergence_aborts");
+    let (a_f, entropy_f) = search_tiny(&cfg);
+    assert_eq!(counter("search.divergence_aborts"), aborts + 1);
+    assert_eq!(entropy_f.len(), 2, "only the two clean epochs complete");
+    assert!(entropy_f.iter().all(|e| e.is_finite()));
+
+    faultinject::clear();
+    let (a_c, entropy_c) = search_tiny(&SearchConfig { epochs: 2, ..cfg });
+    assert_eq!(a_f, a_c, "assignment must come from the last finite α");
+    assert_eq!(bits(&entropy_f), bits(&entropy_c));
 }
