@@ -16,6 +16,9 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> perfbench tests (its own workspace, built against mixq-core's public API)"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> telemetry smoke (table1 with MIXQ_TELEMETRY=1)"
 smoke_dir="$(mktemp -d)"
 MIXQ_TELEMETRY=1 MIXQ_TELEMETRY_DIR="$smoke_dir" ./target/release/table1 > /dev/null

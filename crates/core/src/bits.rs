@@ -224,9 +224,39 @@ mod tests {
 
 #[cfg(test)]
 mod complexity_tests {
-    use crate::{A2qQuantizer, RelaxedGcnNet};
+    use crate::qnets::{Mode, Quantized};
+    use crate::{A2qQuantizer, QuantKind, RelaxedGcnNet};
+    use crate::{QGcnGraphNet, QGcnNet, QGinGraphNet, QSageNet};
     use mixq_nn::{GcnNet, ParamSet};
-    use mixq_tensor::Rng;
+    use mixq_tensor::{MixqResult, Rng};
+
+    use super::*;
+
+    const MENU: [u8; 3] = [2, 4, 8];
+
+    /// Builds one architecture in fixed (native, 8-bit) and in relaxed mode
+    /// and checks that both name their sites by `schema`, and that the
+    /// relaxed form adds exactly one α per (component, bit choice).
+    fn check_sites<N: Quantized>(
+        schema: Vec<String>,
+        build: impl Fn(&mut ParamSet, Mode) -> MixqResult<N>,
+    ) {
+        let a = BitAssignment::uniform(schema.clone(), 8);
+        let mut ps_fixed = ParamSet::new();
+        let mut fixed = build(&mut ps_fixed, Mode::Fixed(&a, QuantKind::Native, &[1; 8])).unwrap();
+        let mut ps_relaxed = ParamSet::new();
+        let mut relaxed = build(&mut ps_relaxed, Mode::Relaxed(&MENU)).unwrap();
+        for (net, ps) in [(fixed.sites(), &ps_fixed), (relaxed.sites(), &ps_relaxed)] {
+            assert_eq!(net.names, schema);
+            assert_eq!(net.extract(Some(ps)).names, schema);
+        }
+        assert_eq!(relaxed.sites().alpha_ids().len(), schema.len());
+        assert_eq!(
+            ps_relaxed.num_scalars() - ps_fixed.num_scalars(),
+            schema.len() * MENU.len(),
+            "MixQ adds one α per (component, bit choice)"
+        );
+    }
 
     /// Table 1's space-complexity claim, verified on concrete counts: the
     /// relaxed MixQ architecture adds only O(components·|B|) parameters,
@@ -242,7 +272,7 @@ mod complexity_tests {
         let fp32 = ps.num_scalars();
 
         let mut ps_r = ParamSet::new();
-        let _ = RelaxedGcnNet::new(&mut ps_r, &dims, &[2, 4, 8], 0.5, &mut rng);
+        let _ = RelaxedGcnNet::new(&mut ps_r, &dims, &MENU, 0.5, &mut rng);
         let mixq = ps_r.num_scalars();
         let mixq_extra = mixq - fp32;
         // 3 layers × 4 quantizers + 1 input quantizer = 13 α-vectors of 3.
@@ -257,5 +287,20 @@ mod complexity_tests {
             a2q_extra > 100 * mixq_extra,
             "A²Q per-node overhead ({a2q_extra}) dwarfs MixQ's ({mixq_extra})"
         );
+
+        // The same holds for every architecture, in both modes.
+        let rng = || Rng::seed_from_u64(1);
+        check_sites(gcn_schema(3), |ps, mode| {
+            QGcnNet::build(ps, &dims, mode, 0.5, &mut rng())
+        });
+        check_sites(sage_schema(3), |ps, mode| {
+            QSageNet::build(ps, &dims, mode, 0.5, &mut rng())
+        });
+        check_sites(gin_graph_schema(2), |ps, mode| {
+            QGinGraphNet::build(ps, [16, 8, 3, 2], mode, &mut rng())
+        });
+        check_sites(gcn_graph_schema(4), |ps, mode| {
+            QGcnGraphNet::build(ps, [16, 8, 3, 4], mode, &mut rng())
+        });
     }
 }

@@ -7,11 +7,12 @@
 //! * quantization-aware training machinery: range [`Observer`]s, the native
 //!   [`FakeQuantizer`], and the structure-aware [`DqQuantizer`] /
 //!   [`A2qQuantizer`] baselines;
-//! * fixed-bit quantized architectures ([`QGcnNet`], [`QSageNet`],
-//!   [`QGinGraphNet`], [`QGcnGraphNet`]) driven by per-component
-//!   [`BitAssignment`]s;
-//! * the relaxed (differentiable) architectures and the MixQ bit-width
-//!   search of Algorithm 1 (`relaxed` / `search`);
+//! * the quantized architectures ([`QGcnNet`], [`QSageNet`],
+//!   [`QGinGraphNet`], [`QGcnGraphNet`]), each defined once in `qnets`:
+//!   built from a per-component [`BitAssignment`] they are the fixed-bit
+//!   QAT nets; built over a bit-width menu they are the relaxed
+//!   (differentiable) nets the MixQ search of Algorithm 1 (`search`)
+//!   trains ([`RelaxedGcnNet`] exposes the relaxed GCN);
 //! * **Theorem 1**: exact quantized message passing with integer
 //!   sparse-dense products (`theorem1`), and the fully-integer inference
 //!   engine built on it (`qinfer`);
@@ -25,7 +26,6 @@ pub mod qat;
 pub mod qinfer;
 pub mod qnets;
 pub mod quantizers;
-pub mod relaxed;
 pub mod search;
 pub mod theorem1;
 
@@ -41,13 +41,9 @@ pub use qinfer::{
 };
 pub use qnets::{
     gcn_cost_model, gcn_graph_cost_model, gin_graph_cost_model, quantize_adjacency,
-    sage_cost_model, QGcnGraphNet, QGcnNet, QGinGraphNet, QSageNet,
+    sage_cost_model, QGcnGraphNet, QGcnNet, QGinGraphNet, QSageNet, RelaxedGcnNet,
 };
 pub use quantizers::{A2qQuantizer, DqQuantizer, NodeQuant, QuantKind};
-pub use relaxed::{
-    RelaxedAdjQuantizer, RelaxedGcnGraphNet, RelaxedGcnNet, RelaxedGinGraphNet, RelaxedQuantizer,
-    RelaxedSageNet,
-};
 pub use search::{
     search_gcn_bits, search_gcn_graph_bits, search_gin_graph_bits, search_sage_bits, SearchConfig,
 };

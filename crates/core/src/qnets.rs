@@ -1,20 +1,34 @@
-//! Fixed-bit-width quantized architectures (QAT training path).
+//! Quantized architectures, each defined once and built in one of two
+//! modes:
 //!
-//! Each net mirrors its FP32 counterpart in `mixq-nn` with a fake quantizer
-//! on every component of its schema (see [`crate::bits`]). They implement
-//! the same `NodeNet`/`GraphNet` traits, so the standard trainers apply, and
-//! they expose a [`CostModel`] so tables can report Bits / GBitOPs.
+//! * **fixed** (QAT): every component of the schema (see [`crate::bits`])
+//!   gets a fake quantizer at the bit-width a [`BitAssignment`] gives it.
+//!   The nets implement `NodeNet`/`GraphNet`, so the standard trainers
+//!   apply, and expose a [`CostModel`] so tables can report Bits / GBitOPs.
+//! * **relaxed** (§4.1): every component gets one learnable logit α per
+//!   candidate bit-width. Its forward pass outputs the softmax-weighted
+//!   mixture of the candidate fake quantizations (Eq. 6) and records a
+//!   differentiable bit-cost term `C(T)` (Eq. 8). The MixQ search
+//!   ([`crate::search`]) trains this form with `L + λ·Σ C(T_i)` and takes
+//!   `argmax α` as the bit-width assignment (Algorithm 1).
+//!
+//! A net keeps its quantization points as one list of sites in schema
+//! order. The assignment check, the α list, the extracted assignment, the
+//! per-batch degree refresh and the adjacency cache all come from that
+//! list.
 
 use std::sync::Arc;
 
-use mixq_nn::{Fwd, GraphBundle, GraphNet, Linear, Mlp, NodeBundle, NodeNet, ParamSet};
-use mixq_sparse::CsrMatrix;
+use mixq_nn::{Fwd, GraphBundle, GraphNet, Linear, Mlp, NodeBundle, NodeNet, ParamId, ParamSet};
 use mixq_tensor::{Matrix, MixqError, MixqResult, QuantParams, Rng, SpPair, Var};
 
 use crate::bits::{gcn_graph_schema, gcn_schema, gin_graph_schema, sage_schema, BitAssignment};
 use crate::cost::CostModel;
+use crate::observer::Observer;
 use crate::qat::FakeQuantizer;
+use crate::qinfer::{GcnLayerSnapshot, GcnSnapshot, SageLayerSnapshot, SageSnapshot};
 use crate::quantizers::{NodeQuant, QuantKind};
+use Role::{Act, Adj, Weight};
 
 /// Fake-quantizes the values of a sparse adjacency with a symmetric
 /// quantizer (zero-point 0, so structural zeros stay exact — the property
@@ -28,87 +42,323 @@ pub fn quantize_adjacency(pair: &Arc<SpPair>, bits: u8) -> Arc<SpPair> {
     let lo = values.iter().copied().fold(f32::INFINITY, f32::min);
     let hi = values.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     let qp = QuantParams::symmetric(lo, hi, bits);
-    let q: CsrMatrix = pair.a.map_values(|_, _, v| qp.fake(v));
-    SpPair::new(q)
+    SpPair::new(pair.a.map_values(|_, _, v| qp.fake(v)))
 }
 
-/// Caches the quantized adjacency per (layer, bits). Keyed by the source
-/// `SpPair`'s address: node-level training reuses one adjacency for every
-/// epoch (one quantization total), while graph-level tasks alternate
-/// between train and evaluation batches (the cache re-quantizes whenever a
-/// different batch arrives — a size-mismatch would otherwise follow).
-#[derive(Debug, Clone, Default)]
-struct AdjCache(Option<(*const CsrMatrix, Arc<SpPair>)>);
+// ---- quantization sites -----------------------------------------------------
 
-// The raw pointer is only used as a cache key, never dereferenced.
-unsafe impl Send for AdjCache {}
+/// How a net's quantization sites are built.
+#[derive(Clone, Copy)]
+pub(crate) enum Mode<'a> {
+    /// At the bit-widths of an assignment. Node activations use the
+    /// [`QuantKind`], parameterized by the node in-degrees.
+    Fixed(&'a BitAssignment, QuantKind, &'a [usize]),
+    /// Relaxed over a bit-width menu, one α logit per entry.
+    Relaxed(&'a [u8]),
+}
 
-impl AdjCache {
-    fn get(&mut self, pair: &Arc<SpPair>, bits: u8) -> Arc<SpPair> {
-        let key = Arc::as_ptr(&pair.a);
-        match &self.0 {
-            Some((k, cached)) if *k == key => Arc::clone(cached),
-            _ => {
-                let q = quantize_adjacency(pair, bits);
-                self.0 = Some((key, Arc::clone(&q)));
-                q
+/// What a site quantizes, and with what.
+enum Quant {
+    /// Fixed node activations, quantized by the net's [`QuantKind`].
+    Act(NodeQuant),
+    /// Fixed weights (always the native quantizer).
+    Weight(FakeQuantizer),
+    /// A relaxed dense tensor; one observed range feeds every candidate.
+    Mixed(Observer),
+    /// An adjacency, quantized at every candidate width. The copies are
+    /// kept for the source adjacency they were made from: node-level
+    /// training quantizes once, while graph-level training re-quantizes
+    /// whenever a different batch arrives.
+    Adj(Option<(Arc<SpPair>, Vec<Arc<SpPair>>)>),
+}
+
+/// One quantization point: its candidate bit-widths (one when fixed) and,
+/// when relaxed, its α logits.
+struct Site {
+    bits: Vec<u8>,
+    alphas: Option<ParamId>,
+    quant: Quant,
+}
+
+/// A net's quantization sites, named by its schema.
+pub(crate) struct Sites {
+    pub(crate) names: Vec<String>,
+    list: Vec<Site>,
+    /// `(C(T), |T|)` of every relaxed site forwarded since the last
+    /// [`Sites::take_penalties`].
+    pens: Vec<(Var, usize)>,
+}
+
+/// The kind of tensor a site quantizes; with the mode, it picks the
+/// site's quantizer.
+enum Role {
+    Act,
+    Weight,
+    Adj,
+}
+
+/// Creates a net's sites in schema order; each takes the next schema name.
+struct SiteBuilder<'a> {
+    mode: Mode<'a>,
+    /// Holds the net's parameters and α logits.
+    ps: &'a mut ParamSet,
+    sites: Sites,
+}
+
+impl<'a> SiteBuilder<'a> {
+    fn new(
+        context: &'static str,
+        schema: Vec<String>,
+        mode: Mode<'a>,
+        ps: &'a mut ParamSet,
+    ) -> MixqResult<Self> {
+        if matches!(mode, Mode::Fixed(a, ..) if a.names != schema) {
+            return Err(MixqError::config(
+                context,
+                "assignment does not follow the schema",
+            ));
+        }
+        assert!(!matches!(mode, Mode::Relaxed([])), "empty bit-width menu");
+        let sites = Sites {
+            list: Vec::with_capacity(schema.len()),
+            names: schema,
+            pens: Vec::new(),
+        };
+        Ok(Self { mode, ps, sites })
+    }
+
+    /// Adds the site of the next schema entry and returns its index.
+    fn site(&mut self, role: Role) -> usize {
+        let ps = &mut *self.ps;
+        let i = self.sites.list.len();
+        let (bits, alphas) = match self.mode {
+            Mode::Fixed(a, ..) => (vec![a.bits[i]], None),
+            Mode::Relaxed(menu) => (menu.to_vec(), Some(ps.add_zeros(1, menu.len()))),
+        };
+        let quant = match (role, self.mode) {
+            (Adj, _) => Quant::Adj(None),
+            (_, Mode::Relaxed(_)) => Quant::Mixed(Observer::new()),
+            (Act, Mode::Fixed(_, kind, degrees)) => Quant::Act(kind.make(bits[0], degrees, ps)),
+            (Weight, Mode::Fixed(..)) => Quant::Weight(FakeQuantizer::new(bits[0], false)),
+        };
+        self.sites.list.push(Site {
+            bits,
+            alphas,
+            quant,
+        });
+        i
+    }
+
+    /// Builds a readout head. The fixed nets allocate its quantizers before
+    /// its linears, the relaxed nets after; the `ParamSet` order is part of
+    /// every checkpoint, so each mode keeps its own.
+    fn head<L, Q>(
+        &mut self,
+        linears: impl FnOnce(&mut ParamSet) -> L,
+        sites: impl FnOnce(&mut Self) -> Q,
+    ) -> (L, Q) {
+        if let Mode::Relaxed(_) = self.mode {
+            let l = linears(self.ps);
+            (l, sites(self))
+        } else {
+            let q = sites(self);
+            (linears(self.ps), q)
+        }
+    }
+
+    fn finish(self) -> Sites {
+        assert_eq!(self.sites.list.len(), self.sites.names.len());
+        self.sites
+    }
+}
+
+/// Appends the bit-cost term `C(T)` of a relaxed site (Eq. 8).
+fn penalize(pens: &mut Vec<(Var, usize)>, f: &mut Fwd, alphas: Var, bits: &[u8], numel: usize) {
+    let bits: Vec<f32> = bits.iter().map(|&b| b as f32).collect();
+    pens.push((f.tape.bit_penalty(alphas, &bits, numel), numel));
+}
+
+impl Sites {
+    /// Quantizes the dense tensor `x` at site `i`.
+    fn dense(&mut self, f: &mut Fwd, i: usize, x: Var) -> Var {
+        let site = &mut self.list[i];
+        match &mut site.quant {
+            Quant::Act(q) => q.forward(f, x),
+            Quant::Weight(q) => q.forward(f, x),
+            Quant::Mixed(obs) => {
+                if f.training || !obs.is_initialized() {
+                    obs.observe(f.tape.value(x));
+                }
+                let qps: Vec<_> = site.bits.iter().map(|&b| obs.qparams(b, false)).collect();
+                let av = f.bind(site.alphas.expect("relaxed sites have α logits"));
+                let numel = f.tape.value(x).numel();
+                let y = f.tape.relaxed_fake_quant(x, av, &qps);
+                penalize(&mut self.pens, f, av, &site.bits, numel);
+                y
             }
+            Quant::Adj(_) => panic!("adjacency site {} used on a dense tensor", self.names[i]),
+        }
+    }
+
+    /// `x·Q(W) + b` with the weight quantized at site `i` (the bias stays
+    /// FP32, as is standard; STE lets gradients reach the FP32 master).
+    fn linear(&mut self, f: &mut Fwd, lin: &Linear, i: usize, x: Var) -> Var {
+        let w = f.bind(lin.w);
+        let w = self.dense(f, i, w);
+        let h = f.tape.matmul(x, w);
+        match lin.b {
+            Some(b) => {
+                let bv = f.bind(b);
+                f.tape.add_bias(h, bv)
+            }
+            None => h,
+        }
+    }
+
+    /// Aggregates `x` over `pair` quantized at site `i`. A relaxed site
+    /// mixes one SpMM per candidate: aggregation is linear, so
+    /// `(Σ_i w_i Q_i(Â)) X = Σ_i w_i (Q_i(Â) X)` — the `×|B|` cost factor
+    /// §4.2 attributes to the relaxed architecture.
+    fn spmm(&mut self, f: &mut Fwd, i: usize, pair: &Arc<SpPair>, x: Var) -> Var {
+        let site = &mut self.list[i];
+        let Quant::Adj(cache) = &mut site.quant else {
+            panic!("dense site {} used on an adjacency", self.names[i]);
+        };
+        if !matches!(cache, Some((src, _)) if Arc::ptr_eq(src, pair)) {
+            let copies = site.bits.iter().map(|&b| quantize_adjacency(pair, b));
+            *cache = Some((Arc::clone(pair), copies.collect()));
+        }
+        let quantized = &cache.as_ref().expect("filled above").1;
+        let Some(alphas) = site.alphas else {
+            return f.tape.spmm(&quantized[0], x);
+        };
+        let k = quantized.len();
+        let av = f.bind(alphas);
+        let logw = f.tape.log_softmax(av);
+        let w = f.tape.exp(logw);
+        let mut out: Option<Var> = None;
+        for (c, q) in quantized.iter().enumerate() {
+            let yc = f.tape.spmm(q, x);
+            // w_c as a 1×1 var: ⟨w, e_c⟩.
+            let e_c = Matrix::from_fn(1, k, |_, j| if j == c { 1.0 } else { 0.0 });
+            let onehot = f.tape.constant(e_c);
+            let wc_vec = f.tape.mul(w, onehot);
+            let wc = f.tape.sum_all(wc_vec);
+            let term = f.tape.mul_scalar_var(yc, wc);
+            out = Some(out.map_or(term, |acc| f.tape.add(acc, term)));
+        }
+        penalize(&mut self.pens, f, av, &site.bits, pair.a.nnz());
+        out.expect("non-empty menu")
+    }
+
+    /// Points the degree-driven activation quantizers (A²Q) at a new batch:
+    /// node-level sites get the batch's in-degrees, the readout head's
+    /// per-graph sites one degree per graph.
+    fn set_degrees(&mut self, b: &GraphBundle) {
+        let graph_degrees = vec![1usize; b.num_graphs()];
+        for (name, site) in self.names.iter().zip(&mut self.list) {
+            if let Quant::Act(q) = &mut site.quant {
+                let head = name.starts_with("head.");
+                q.set_degrees(if head { &graph_degrees } else { &b.degrees });
+            }
+        }
+    }
+
+    /// Bit-width of every site, in schema order: the argmax α of a relaxed
+    /// site (Algorithm 1 line 25), read from `ps`, or its fixed width.
+    pub(crate) fn extract(&self, ps: Option<&ParamSet>) -> BitAssignment {
+        let bits = self.list.iter().map(|s| match (s.alphas, ps) {
+            (Some(id), Some(ps)) => {
+                let a = ps.value(id).data();
+                let best = (1..a.len()).fold(0, |best, c| if a[c] > a[best] { c } else { best });
+                s.bits[best]
+            }
+            _ => s.bits[0],
+        });
+        BitAssignment::new(self.names.clone(), bits.collect())
+    }
+
+    /// ParamIds of every α vector, in schema order.
+    pub(crate) fn alpha_ids(&self) -> Vec<ParamId> {
+        self.list.iter().filter_map(|s| s.alphas).collect()
+    }
+
+    pub(crate) fn take_penalties(&mut self) -> Vec<(Var, usize)> {
+        std::mem::take(&mut self.pens)
+    }
+
+    /// The integer engine's quantization parameters for fixed site `i`,
+    /// or why it cannot execute that component.
+    fn qparams(&self, context: &'static str, i: usize) -> MixqResult<QuantParams> {
+        let err = |why| Err(MixqError::config(context, why));
+        match &self.list[i].quant {
+            Quant::Weight(q) => Ok(q.qparams()),
+            Quant::Act(NodeQuant::Native(q)) if !q.is_identity() => Ok(q.qparams()),
+            Quant::Act(NodeQuant::Native(_)) => err("integer inference needs bits < 32"),
+            _ => err("integer inference supports native quantizers only"),
         }
     }
 }
 
-/// Quantized linear transform: fake-quantizes the weight (STE keeps the
-/// FP32 master trainable), multiplies, adds the (unquantized, as is
-/// standard) bias.
-pub(crate) fn qlinear(f: &mut Fwd, lin: &Linear, qw: &mut FakeQuantizer, x: Var) -> Var {
-    let w = f.binding.bind(f.tape, f.ps, lin.w);
-    let w = if qw.is_identity() {
-        w
-    } else {
-        qw.forward(f, w)
-    };
-    let mut h = f.tape.matmul(x, w);
-    if let Some(bias) = lin.b {
-        let bv = f.binding.bind(f.tape, f.ps, bias);
-        h = f.tape.add_bias(h, bv);
-    }
-    h
+/// A net built on [`Sites`]; lets the search reach them generically.
+pub(crate) trait Quantized {
+    fn sites(&mut self) -> &mut Sites;
 }
 
-/// Extracts the per-tensor quantization parameters of a native quantizer,
-/// or explains why the integer engine cannot execute this component.
-fn native_qparams(context: &'static str, q: &NodeQuant) -> MixqResult<QuantParams> {
-    match q {
-        NodeQuant::Native(fq) if !fq.is_identity() => Ok(fq.qparams()),
-        NodeQuant::Native(_) => Err(MixqError::config(
-            context,
-            "integer inference needs bits < 32",
-        )),
-        _ => Err(MixqError::config(
-            context,
-            "integer inference supports native quantizers only",
-        )),
+macro_rules! impl_quantized {
+    ($($net:ty),*) => {$(
+        impl Quantized for $net {
+            fn sites(&mut self) -> &mut Sites {
+                &mut self.q
+            }
+        }
+    )*};
+}
+
+impl_quantized!(QGcnNet, QSageNet, QGinGraphNet, QGcnGraphNet);
+
+// ---- GCN layers (node GCN and GCN graph classifier) ------------------------
+
+struct GcnLayer {
+    lin: Linear,
+    adj: usize,
+    w: usize,
+    lin_out: usize,
+    agg_out: usize,
+}
+
+/// One GCN layer per `dims` step, sites `l{l}.adj / weight / lin_out / agg_out`.
+fn gcn_layers(q: &mut SiteBuilder, dims: &[usize], rng: &mut Rng) -> Vec<GcnLayer> {
+    dims.windows(2)
+        .map(|d| GcnLayer {
+            lin: Linear::new(q.ps, d[0], d[1], rng),
+            adj: q.site(Adj),
+            w: q.site(Weight),
+            lin_out: q.site(Act),
+            agg_out: q.site(Act),
+        })
+        .collect()
+}
+
+impl GcnLayer {
+    /// `Q(Q(Â)·Q(x·Q(W) + b))`.
+    fn forward(&self, f: &mut Fwd, q: &mut Sites, adj: &Arc<SpPair>, x: Var) -> Var {
+        let h = q.linear(f, &self.lin, self.w, x);
+        let h = q.dense(f, self.lin_out, h);
+        let y = q.spmm(f, self.adj, adj, h);
+        q.dense(f, self.agg_out, y)
     }
 }
 
 // ---- quantized GCN ----------------------------------------------------------
 
-struct QGcnLayer {
-    lin: Linear,
-    q_w: FakeQuantizer,
-    q_lin_out: NodeQuant,
-    q_agg_out: NodeQuant,
-    adj_bits: u8,
-    adj: AdjCache,
-}
-
 /// Quantized multi-layer GCN (schema: [`gcn_schema`]).
 pub struct QGcnNet {
-    pub assignment: BitAssignment,
-    pub dims: Vec<usize>,
-    q_input: NodeQuant,
-    layers: Vec<QGcnLayer>,
+    dims: Vec<usize>,
     pub dropout: f32,
+    q: Sites,
+    input: usize,
+    layers: Vec<GcnLayer>,
 }
 
 impl QGcnNet {
@@ -124,59 +374,55 @@ impl QGcnNet {
         dropout: f32,
         rng: &mut Rng,
     ) -> MixqResult<Self> {
-        let nlayers = dims.len() - 1;
-        if assignment.names != gcn_schema(nlayers) {
-            return Err(MixqError::config(
-                "QGcnNet::new",
-                format!("assignment does not follow gcn_schema({nlayers})"),
-            ));
-        }
-        let q_input = kind.make(assignment.get("input"), degrees, ps);
-        let layers = (0..nlayers)
-            .map(|l| QGcnLayer {
-                lin: Linear::new(ps, dims[l], dims[l + 1], rng),
-                q_w: FakeQuantizer::new(assignment.get(&format!("l{l}.weight")), false),
-                q_lin_out: kind.make(assignment.get(&format!("l{l}.lin_out")), degrees, ps),
-                q_agg_out: kind.make(assignment.get(&format!("l{l}.agg_out")), degrees, ps),
-                adj_bits: assignment.get(&format!("l{l}.adj")),
-                adj: AdjCache::default(),
-            })
-            .collect();
+        let mode = Mode::Fixed(&assignment, kind, degrees);
+        Self::build(ps, dims, mode, dropout, rng)
+    }
+
+    pub(crate) fn build(
+        ps: &mut ParamSet,
+        dims: &[usize],
+        mode: Mode,
+        dropout: f32,
+        rng: &mut Rng,
+    ) -> MixqResult<Self> {
+        let mut q = SiteBuilder::new("QGcnNet::new", gcn_schema(dims.len() - 1), mode, ps)?;
+        let input = q.site(Act);
+        let layers = gcn_layers(&mut q, dims, rng);
         Ok(Self {
-            assignment,
             dims: dims.to_vec(),
-            q_input,
-            layers,
             dropout,
+            q: q.finish(),
+            input,
+            layers,
         })
     }
 
     /// Cost model for a graph with `n` nodes and `nnz` (normalized)
     /// adjacency non-zeros.
     pub fn cost_model(&self, n: u64, nnz: u64) -> CostModel {
-        gcn_cost_model(&self.assignment, &self.dims, n, nnz)
+        gcn_cost_model(&self.q.extract(None), &self.dims, n, nnz)
     }
 
     /// Exports the trained quantization parameters and weights for the
     /// integer inference engine (Fig. 5(iv)). Fails unless every component
     /// uses a native quantizer with bit-width < 32.
-    pub fn snapshot(&self, ps: &ParamSet) -> MixqResult<crate::qinfer::GcnSnapshot> {
-        let input_qp = native_qparams("QGcnNet::snapshot", &self.q_input)?;
-        let layers = self
-            .layers
-            .iter()
-            .map(|l| {
-                Ok(crate::qinfer::GcnLayerSnapshot {
-                    weight: ps.value(l.lin.w).clone(),
-                    bias: l.lin.b.map(|b| ps.value(b).data().to_vec()),
-                    w_qp: l.q_w.qparams(),
-                    lin_qp: native_qparams("QGcnNet::snapshot", &l.q_lin_out)?,
-                    agg_qp: native_qparams("QGcnNet::snapshot", &l.q_agg_out)?,
-                    adj_bits: l.adj_bits,
-                })
+    pub fn snapshot(&self, ps: &ParamSet) -> MixqResult<GcnSnapshot> {
+        let qp = |i| self.q.qparams("QGcnNet::snapshot", i);
+        let input_qp = qp(self.input)?;
+        let layers = self.layers.iter().map(|l| {
+            Ok(GcnLayerSnapshot {
+                weight: ps.value(l.lin.w).clone(),
+                bias: l.lin.b.map(|b| ps.value(b).data().to_vec()),
+                w_qp: qp(l.w)?,
+                lin_qp: qp(l.lin_out)?,
+                agg_qp: qp(l.agg_out)?,
+                adj_bits: self.q.list[l.adj].bits[0],
             })
-            .collect::<MixqResult<_>>()?;
-        Ok(crate::qinfer::GcnSnapshot { input_qp, layers })
+        });
+        Ok(GcnSnapshot {
+            input_qp,
+            layers: layers.collect::<MixqResult<_>>()?,
+        })
     }
 }
 
@@ -208,57 +454,73 @@ pub fn gcn_cost_model(a: &BitAssignment, dims: &[usize], n: u64, nnz: u64) -> Co
 }
 
 impl NodeNet for QGcnNet {
-    fn forward(&mut self, f: &mut Fwd, b: &NodeBundle, mut x: Var) -> Var {
-        x = self.q_input.forward(f, x);
+    fn forward(&mut self, f: &mut Fwd, b: &NodeBundle, x: Var) -> Var {
+        let mut x = self.q.dense(f, self.input, x);
         let last = self.layers.len() - 1;
-        for i in 0..self.layers.len() {
-            let layer = &mut self.layers[i];
+        for (i, layer) in self.layers.iter().enumerate() {
             x = f.tape.dropout(x, self.dropout, f.rng, f.training);
-            // Quantized weight (STE lets gradients reach the FP32 master).
-            let w = f.binding.bind(f.tape, f.ps, layer.lin.w);
-            let wq = if layer.q_w.is_identity() {
-                w
-            } else {
-                layer.q_w.forward(f, w)
-            };
-            let mut h = f.tape.matmul(x, wq);
-            if let Some(bias) = layer.lin.b {
-                let bv = f.binding.bind(f.tape, f.ps, bias);
-                h = f.tape.add_bias(h, bv);
-            }
-            h = layer.q_lin_out.forward(f, h);
-            let qadj = layer.adj.get(&b.norm, layer.adj_bits);
-            let mut y = f.tape.spmm(&qadj, h);
-            y = layer.q_agg_out.forward(f, y);
+            x = layer.forward(f, &mut self.q, &b.norm, x);
             if i < last {
-                y = f.tape.relu(y);
+                x = f.tape.relu(x);
             }
-            x = y;
         }
         x
     }
 }
 
+/// The relaxed form of [`QGcnNet`] that the MixQ search trains. Its sites
+/// follow [`gcn_schema`], so [`RelaxedGcnNet::extract`] produces an
+/// assignment [`QGcnNet`] accepts directly.
+pub struct RelaxedGcnNet(QGcnNet);
+
+impl RelaxedGcnNet {
+    pub fn new(
+        ps: &mut ParamSet,
+        dims: &[usize],
+        bit_choices: &[u8],
+        dropout: f32,
+        rng: &mut Rng,
+    ) -> Self {
+        let net = QGcnNet::build(ps, dims, Mode::Relaxed(bit_choices), dropout, rng);
+        Self(net.expect("relaxed sites follow their schema"))
+    }
+
+    /// Forward pass returning `(logits, penalty terms)`.
+    pub fn forward(&mut self, f: &mut Fwd, b: &NodeBundle, x: Var) -> (Var, Vec<(Var, usize)>) {
+        let y = self.0.forward(f, b, x);
+        (y, self.0.q.take_penalties())
+    }
+
+    /// Argmax bit-widths in [`gcn_schema`] order.
+    pub fn extract(&self, ps: &ParamSet) -> BitAssignment {
+        self.0.q.extract(Some(ps))
+    }
+
+    /// ParamIds of every α vector (frozen during search warm-up).
+    pub fn alpha_ids(&self) -> Vec<ParamId> {
+        self.0.q.alpha_ids()
+    }
+}
+
 // ---- quantized GraphSAGE ----------------------------------------------------
 
-struct QSageLayer {
+struct SageLayer {
     lin_root: Linear,
     lin_neigh: Linear,
-    q_w_root: FakeQuantizer,
-    q_w_neigh: FakeQuantizer,
-    q_agg: NodeQuant,
-    q_out: NodeQuant,
-    adj_bits: u8,
-    adj: AdjCache,
+    adj: usize,
+    w_root: usize,
+    w_neigh: usize,
+    agg: usize,
+    out: usize,
 }
 
 /// Quantized multi-layer GraphSAGE (schema: [`sage_schema`]).
 pub struct QSageNet {
-    pub assignment: BitAssignment,
-    pub dims: Vec<usize>,
-    q_input: NodeQuant,
-    layers: Vec<QSageLayer>,
+    dims: Vec<usize>,
     pub dropout: f32,
+    q: Sites,
+    input: usize,
+    layers: Vec<SageLayer>,
 }
 
 impl QSageNet {
@@ -271,61 +533,66 @@ impl QSageNet {
         dropout: f32,
         rng: &mut Rng,
     ) -> MixqResult<Self> {
-        let nlayers = dims.len() - 1;
-        if assignment.names != sage_schema(nlayers) {
-            return Err(MixqError::config(
-                "QSageNet::new",
-                format!("assignment does not follow sage_schema({nlayers})"),
-            ));
-        }
-        let q_input = kind.make(assignment.get("input"), degrees, ps);
-        let layers = (0..nlayers)
-            .map(|l| QSageLayer {
-                lin_root: Linear::new(ps, dims[l], dims[l + 1], rng),
-                lin_neigh: Linear::new_no_bias(ps, dims[l], dims[l + 1], rng),
-                q_w_root: FakeQuantizer::new(assignment.get(&format!("l{l}.w_root")), false),
-                q_w_neigh: FakeQuantizer::new(assignment.get(&format!("l{l}.w_neigh")), false),
-                q_agg: kind.make(assignment.get(&format!("l{l}.agg")), degrees, ps),
-                q_out: kind.make(assignment.get(&format!("l{l}.out")), degrees, ps),
-                adj_bits: assignment.get(&format!("l{l}.adj")),
-                adj: AdjCache::default(),
+        let mode = Mode::Fixed(&assignment, kind, degrees);
+        Self::build(ps, dims, mode, dropout, rng)
+    }
+
+    pub(crate) fn build(
+        ps: &mut ParamSet,
+        dims: &[usize],
+        mode: Mode,
+        dropout: f32,
+        rng: &mut Rng,
+    ) -> MixqResult<Self> {
+        let mut q = SiteBuilder::new("QSageNet::new", sage_schema(dims.len() - 1), mode, ps)?;
+        let input = q.site(Act);
+        let layers = dims
+            .windows(2)
+            .map(|d| SageLayer {
+                lin_root: Linear::new(q.ps, d[0], d[1], rng),
+                lin_neigh: Linear::new_no_bias(q.ps, d[0], d[1], rng),
+                adj: q.site(Adj),
+                w_root: q.site(Weight),
+                w_neigh: q.site(Weight),
+                agg: q.site(Act),
+                out: q.site(Act),
             })
             .collect();
         Ok(Self {
-            assignment,
             dims: dims.to_vec(),
-            q_input,
-            layers,
             dropout,
+            q: q.finish(),
+            input,
+            layers,
         })
     }
 
     pub fn cost_model(&self, n: u64, nnz: u64) -> CostModel {
-        sage_cost_model(&self.assignment, &self.dims, n, nnz)
+        sage_cost_model(&self.q.extract(None), &self.dims, n, nnz)
     }
 
     /// Exports the trained quantization parameters and weights for the
     /// integer inference engine. Fails unless every component uses a native
     /// quantizer with bit-width < 32.
-    pub fn snapshot(&self, ps: &ParamSet) -> MixqResult<crate::qinfer::SageSnapshot> {
-        let input_qp = native_qparams("QSageNet::snapshot", &self.q_input)?;
-        let layers = self
-            .layers
-            .iter()
-            .map(|l| {
-                Ok(crate::qinfer::SageLayerSnapshot {
-                    w_root: ps.value(l.lin_root.w).clone(),
-                    bias: l.lin_root.b.map(|b| ps.value(b).data().to_vec()),
-                    w_neigh: ps.value(l.lin_neigh.w).clone(),
-                    w_root_qp: l.q_w_root.qparams(),
-                    w_neigh_qp: l.q_w_neigh.qparams(),
-                    agg_qp: native_qparams("QSageNet::snapshot", &l.q_agg)?,
-                    out_qp: native_qparams("QSageNet::snapshot", &l.q_out)?,
-                    adj_bits: l.adj_bits,
-                })
+    pub fn snapshot(&self, ps: &ParamSet) -> MixqResult<SageSnapshot> {
+        let qp = |i| self.q.qparams("QSageNet::snapshot", i);
+        let input_qp = qp(self.input)?;
+        let layers = self.layers.iter().map(|l| {
+            Ok(SageLayerSnapshot {
+                w_root: ps.value(l.lin_root.w).clone(),
+                bias: l.lin_root.b.map(|b| ps.value(b).data().to_vec()),
+                w_neigh: ps.value(l.lin_neigh.w).clone(),
+                w_root_qp: qp(l.w_root)?,
+                w_neigh_qp: qp(l.w_neigh)?,
+                agg_qp: qp(l.agg)?,
+                out_qp: qp(l.out)?,
+                adj_bits: self.q.list[l.adj].bits[0],
             })
-            .collect::<MixqResult<_>>()?;
-        Ok(crate::qinfer::SageSnapshot { input_qp, layers })
+        });
+        Ok(SageSnapshot {
+            input_qp,
+            layers: layers.collect::<MixqResult<_>>()?,
+        })
     }
 }
 
@@ -360,41 +627,21 @@ pub fn sage_cost_model(a: &BitAssignment, dims: &[usize], n: u64, nnz: u64) -> C
 }
 
 impl NodeNet for QSageNet {
-    fn forward(&mut self, f: &mut Fwd, b: &NodeBundle, mut x: Var) -> Var {
-        x = self.q_input.forward(f, x);
+    fn forward(&mut self, f: &mut Fwd, b: &NodeBundle, x: Var) -> Var {
+        let q = &mut self.q;
+        let mut x = q.dense(f, self.input, x);
         let last = self.layers.len() - 1;
-        for i in 0..self.layers.len() {
-            let layer = &mut self.layers[i];
+        for (i, layer) in self.layers.iter().enumerate() {
             x = f.tape.dropout(x, self.dropout, f.rng, f.training);
-            let qadj = layer.adj.get(&b.mean, layer.adj_bits);
-            let agg = f.tape.spmm(&qadj, x);
-            let agg = layer.q_agg.forward(f, agg);
-
-            let wr = f.binding.bind(f.tape, f.ps, layer.lin_root.w);
-            let wr = if layer.q_w_root.is_identity() {
-                wr
-            } else {
-                layer.q_w_root.forward(f, wr)
-            };
-            let mut root = f.tape.matmul(x, wr);
-            if let Some(bias) = layer.lin_root.b {
-                let bv = f.binding.bind(f.tape, f.ps, bias);
-                root = f.tape.add_bias(root, bv);
-            }
-            let wn = f.binding.bind(f.tape, f.ps, layer.lin_neigh.w);
-            let wn = if layer.q_w_neigh.is_identity() {
-                wn
-            } else {
-                layer.q_w_neigh.forward(f, wn)
-            };
-            let neigh = f.tape.matmul(agg, wn);
-
-            let mut y = f.tape.add(root, neigh);
-            y = layer.q_out.forward(f, y);
+            let agg = q.spmm(f, layer.adj, &b.mean, x);
+            let agg = q.dense(f, layer.agg, agg);
+            let root = q.linear(f, &layer.lin_root, layer.w_root, x);
+            let neigh = q.linear(f, &layer.lin_neigh, layer.w_neigh, agg);
+            let y = f.tape.add(root, neigh);
+            x = q.dense(f, layer.out, y);
             if i < last {
-                y = f.tape.relu(y);
+                x = f.tape.relu(x);
             }
-            x = y;
         }
         x
     }
@@ -402,15 +649,15 @@ impl NodeNet for QSageNet {
 
 // ---- quantized GIN (graph classification) -----------------------------------
 
-struct QGinLayer {
+struct GinLayer {
     mlp: Mlp,
-    eps: mixq_nn::ParamId,
-    q_agg: NodeQuant,
-    q_w1: FakeQuantizer,
-    q_h1: NodeQuant,
-    q_w2: FakeQuantizer,
-    q_h2: NodeQuant,
-    adj_bits: u8,
+    eps: ParamId,
+    adj: usize,
+    agg: usize,
+    w1: usize,
+    h1: usize,
+    w2: usize,
+    h2: usize,
 }
 
 /// Quantized GIN graph classifier (schema: [`gin_graph_schema`]):
@@ -418,19 +665,15 @@ struct QGinLayer {
 /// paper's choice, to keep pooled values inside the quantization range),
 /// then a quantized 2-linear head.
 pub struct QGinGraphNet {
-    pub assignment: BitAssignment,
-    pub in_dim: usize,
-    pub hidden: usize,
-    pub classes: usize,
-    q_input: NodeQuant,
-    layers: Vec<QGinLayer>,
-    head1: Linear,
-    head2: Linear,
-    q_head_w1: FakeQuantizer,
-    q_head_h1: NodeQuant,
-    q_head_w2: FakeQuantizer,
-    q_head_out: NodeQuant,
+    /// `[in_dim, hidden, classes, layers]`.
+    shape: [usize; 4],
     pub dropout: f32,
+    q: Sites,
+    input: usize,
+    layers: Vec<GinLayer>,
+    head: [Linear; 2],
+    /// Sites `head.w1 / head.h1 / head.w2 / head.out`.
+    head_sites: [usize; 4],
 }
 
 impl QGinGraphNet {
@@ -446,56 +689,52 @@ impl QGinGraphNet {
         degrees: &[usize],
         rng: &mut Rng,
     ) -> MixqResult<Self> {
-        if assignment.names != gin_graph_schema(nlayers) {
-            return Err(MixqError::config(
-                "QGinGraphNet::new",
-                format!("assignment does not follow gin_graph_schema({nlayers})"),
-            ));
-        }
-        let q_input = kind.make(assignment.get("input"), degrees, ps);
-        let layers = (0..nlayers)
-            .map(|l| {
-                let ind = if l == 0 { in_dim } else { hidden };
-                QGinLayer {
-                    mlp: Mlp::new(ps, &[ind, hidden, hidden], true, rng),
-                    eps: ps.add_zeros(1, 1),
-                    q_agg: kind.make(assignment.get(&format!("l{l}.agg")), degrees, ps),
-                    q_w1: FakeQuantizer::new(assignment.get(&format!("l{l}.w1")), false),
-                    q_h1: kind.make(assignment.get(&format!("l{l}.h1")), degrees, ps),
-                    q_w2: FakeQuantizer::new(assignment.get(&format!("l{l}.w2")), false),
-                    q_h2: kind.make(assignment.get(&format!("l{l}.h2")), degrees, ps),
-                    adj_bits: assignment.get(&format!("l{l}.adj")),
-                }
+        let mode = Mode::Fixed(&assignment, kind, degrees);
+        Self::build(ps, [in_dim, hidden, classes, nlayers], mode, rng)
+    }
+
+    pub(crate) fn build(
+        ps: &mut ParamSet,
+        shape: [usize; 4],
+        mode: Mode,
+        rng: &mut Rng,
+    ) -> MixqResult<Self> {
+        let [in_dim, hidden, classes, nlayers] = shape;
+        let mut q = SiteBuilder::new("QGinGraphNet::new", gin_graph_schema(nlayers), mode, ps)?;
+        let input = q.site(Act);
+        let mut dims = vec![hidden; nlayers + 1];
+        dims[0] = in_dim;
+        let layers = dims
+            .windows(2)
+            .map(|d| GinLayer {
+                mlp: Mlp::new(q.ps, &[d[0], hidden, hidden], true, rng),
+                eps: q.ps.add_zeros(1, 1),
+                adj: q.site(Adj),
+                agg: q.site(Act),
+                w1: q.site(Weight),
+                h1: q.site(Act),
+                w2: q.site(Weight),
+                h2: q.site(Act),
             })
             .collect();
+        let (head, head_sites) = q.head(
+            |ps| [hidden, classes].map(|out| Linear::new(ps, hidden, out, rng)),
+            |q| [q.site(Weight), q.site(Act), q.site(Weight), q.site(Act)],
+        );
         Ok(Self {
-            q_head_w1: FakeQuantizer::new(assignment.get("head.w1"), false),
-            q_head_h1: kind.make(assignment.get("head.h1"), degrees, ps),
-            q_head_w2: FakeQuantizer::new(assignment.get("head.w2"), false),
-            q_head_out: kind.make(assignment.get("head.out"), degrees, ps),
-            assignment,
-            in_dim,
-            hidden,
-            classes,
-            q_input,
-            layers,
-            head1: Linear::new(ps, hidden, hidden, rng),
-            head2: Linear::new(ps, hidden, classes, rng),
+            shape,
             dropout: 0.3,
+            q: q.finish(),
+            input,
+            layers,
+            head,
+            head_sites,
         })
     }
 
     pub fn cost_model(&self, n: u64, nnz: u64, num_graphs: u64) -> CostModel {
-        gin_graph_cost_model(
-            &self.assignment,
-            self.in_dim,
-            self.hidden,
-            self.classes,
-            self.layers.len(),
-            n,
-            nnz,
-            num_graphs,
-        )
+        let [i, h, c, l] = self.shape;
+        gin_graph_cost_model(&self.q.extract(None), i, h, c, l, n, nnz, num_graphs)
     }
 }
 
@@ -550,56 +789,38 @@ pub fn gin_graph_cost_model(
 }
 
 impl GraphNet for QGinGraphNet {
-    fn forward(&mut self, f: &mut Fwd, b: &GraphBundle, mut x: Var) -> Var {
+    fn forward(&mut self, f: &mut Fwd, b: &GraphBundle, x: Var) -> Var {
         // Batches differ between train and eval; refresh degree-driven state.
-        self.q_input.set_degrees(&b.degrees);
-        for l in &mut self.layers {
-            l.q_agg.set_degrees(&b.degrees);
-            l.q_h1.set_degrees(&b.degrees);
-            l.q_h2.set_degrees(&b.degrees);
-        }
-        let g = b.num_graphs();
-        let graph_degrees = vec![1usize; g];
-        self.q_head_h1.set_degrees(&graph_degrees);
-        self.q_head_out.set_degrees(&graph_degrees);
-        x = self.q_input.forward(f, x);
-        for i in 0..self.layers.len() {
-            // Split-borrow: MLP internals live in the layer struct.
-            let adj_bits = self.layers[i].adj_bits;
-            let qadj = quantize_adjacency(&b.raw, adj_bits);
-            let agg = f.tape.spmm(&qadj, x);
-            let agg = self.layers[i].q_agg.forward(f, agg);
-            let eps = f.binding.bind(f.tape, f.ps, self.layers[i].eps);
+        let q = &mut self.q;
+        q.set_degrees(b);
+        let mut x = q.dense(f, self.input, x);
+        for layer in &mut self.layers {
+            let agg = q.spmm(f, layer.adj, &b.raw, x);
+            let agg = q.dense(f, layer.agg, agg);
+            let eps = f.bind(layer.eps);
             let one = f.tape.constant(Matrix::scalar(1.0));
             let one_eps = f.tape.add(one, eps);
             let scaled = f.tape.mul_scalar_var(x, one_eps);
             let comb = f.tape.add(scaled, agg);
-
-            // MLP layer 1 (+ BN) → ReLU → quantize.
-            let layer = &mut self.layers[i];
-            let lin1 = layer.mlp.layers[0].clone();
-            let mut h = qlinear(f, &lin1, &mut layer.q_w1, comb);
+            // MLP layer 1 (+ BN) → ReLU → quantize; layer 2 → quantize.
+            let mut h = q.linear(f, &layer.mlp.layers[0], layer.w1, comb);
             if let Some(bn) = layer.mlp.norms[0].as_mut() {
                 h = bn.forward(f, h);
             }
             h = f.tape.relu(h);
-            h = layer.q_h1.forward(f, h);
-            // MLP layer 2 → quantize.
-            let lin2 = layer.mlp.layers[1].clone();
-            let mut h2 = qlinear(f, &lin2, &mut layer.q_w2, h);
-            h2 = layer.q_h2.forward(f, h2);
+            h = q.dense(f, layer.h1, h);
+            let h2 = q.linear(f, &layer.mlp.layers[1], layer.w2, h);
+            let h2 = q.dense(f, layer.h2, h2);
             x = f.tape.relu(h2);
         }
+        let [w1, h1, w2, out] = self.head_sites;
         let pooled = f.tape.global_max_pool(x, &b.offsets);
-        let head1 = self.head1.clone();
-        let mut h = qlinear(f, &head1, &mut self.q_head_w1, pooled);
-        h = f.tape.relu(h);
-        h = self.q_head_h1.forward(f, h);
-        h = f.tape.dropout(h, self.dropout, f.rng, f.training);
-        let head2 = self.head2.clone();
-        let mut out = qlinear(f, &head2, &mut self.q_head_w2, h);
-        out = self.q_head_out.forward(f, out);
-        out
+        let h = q.linear(f, &self.head[0], w1, pooled);
+        let h = f.tape.relu(h);
+        let h = q.dense(f, h1, h);
+        let h = f.tape.dropout(h, self.dropout, f.rng, f.training);
+        let y = q.linear(f, &self.head[1], w2, h);
+        q.dense(f, out, y)
     }
 }
 
@@ -608,15 +829,14 @@ impl GraphNet for QGinGraphNet {
 /// Quantized GCN graph classifier (schema: [`gcn_graph_schema`]), the
 /// 4-layer architecture of Table 9.
 pub struct QGcnGraphNet {
-    pub assignment: BitAssignment,
-    pub in_dim: usize,
-    pub hidden: usize,
-    pub classes: usize,
-    q_input: NodeQuant,
-    layers: Vec<QGcnLayer>,
+    /// `[in_dim, hidden, classes, layers]`.
+    shape: [usize; 4],
+    q: Sites,
+    input: usize,
+    layers: Vec<GcnLayer>,
     head: Linear,
-    q_head_w: FakeQuantizer,
-    q_head_out: NodeQuant,
+    /// Sites `head.w / head.out`.
+    head_sites: [usize; 2],
 }
 
 impl QGcnGraphNet {
@@ -632,50 +852,39 @@ impl QGcnGraphNet {
         degrees: &[usize],
         rng: &mut Rng,
     ) -> MixqResult<Self> {
-        if assignment.names != gcn_graph_schema(nlayers) {
-            return Err(MixqError::config(
-                "QGcnGraphNet::new",
-                format!("assignment does not follow gcn_graph_schema({nlayers})"),
-            ));
-        }
-        let q_input = kind.make(assignment.get("input"), degrees, ps);
-        let layers = (0..nlayers)
-            .map(|l| {
-                let ind = if l == 0 { in_dim } else { hidden };
-                QGcnLayer {
-                    lin: Linear::new(ps, ind, hidden, rng),
-                    q_w: FakeQuantizer::new(assignment.get(&format!("l{l}.weight")), false),
-                    q_lin_out: kind.make(assignment.get(&format!("l{l}.lin_out")), degrees, ps),
-                    q_agg_out: kind.make(assignment.get(&format!("l{l}.agg_out")), degrees, ps),
-                    adj_bits: assignment.get(&format!("l{l}.adj")),
-                    adj: AdjCache::default(),
-                }
-            })
-            .collect();
+        let mode = Mode::Fixed(&assignment, kind, degrees);
+        Self::build(ps, [in_dim, hidden, classes, nlayers], mode, rng)
+    }
+
+    pub(crate) fn build(
+        ps: &mut ParamSet,
+        shape: [usize; 4],
+        mode: Mode,
+        rng: &mut Rng,
+    ) -> MixqResult<Self> {
+        let [in_dim, hidden, classes, nlayers] = shape;
+        let mut q = SiteBuilder::new("QGcnGraphNet::new", gcn_graph_schema(nlayers), mode, ps)?;
+        let input = q.site(Act);
+        let mut dims = vec![hidden; nlayers + 1];
+        dims[0] = in_dim;
+        let layers = gcn_layers(&mut q, &dims, rng);
+        let (head, head_sites) = q.head(
+            |ps| Linear::new(ps, hidden, classes, rng),
+            |q| [q.site(Weight), q.site(Act)],
+        );
         Ok(Self {
-            q_head_w: FakeQuantizer::new(assignment.get("head.w"), false),
-            q_head_out: kind.make(assignment.get("head.out"), degrees, ps),
-            assignment,
-            in_dim,
-            hidden,
-            classes,
-            q_input,
+            shape,
+            q: q.finish(),
+            input,
             layers,
-            head: Linear::new(ps, hidden, classes, rng),
+            head,
+            head_sites,
         })
     }
 
     pub fn cost_model(&self, n: u64, nnz: u64, num_graphs: u64) -> CostModel {
-        gcn_graph_cost_model(
-            &self.assignment,
-            self.in_dim,
-            self.hidden,
-            self.classes,
-            self.layers.len(),
-            n,
-            nnz,
-            num_graphs,
-        )
+        let [i, h, c, l] = self.shape;
+        gcn_graph_cost_model(&self.q.extract(None), i, h, c, l, n, nnz, num_graphs)
     }
 }
 
@@ -722,38 +931,17 @@ pub fn gcn_graph_cost_model(
 }
 
 impl GraphNet for QGcnGraphNet {
-    fn forward(&mut self, f: &mut Fwd, b: &GraphBundle, mut x: Var) -> Var {
-        self.q_input.set_degrees(&b.degrees);
-        for l in &mut self.layers {
-            l.q_lin_out.set_degrees(&b.degrees);
-            l.q_agg_out.set_degrees(&b.degrees);
-        }
-        let graph_degrees = vec![1usize; b.num_graphs()];
-        self.q_head_out.set_degrees(&graph_degrees);
-        x = self.q_input.forward(f, x);
-        for i in 0..self.layers.len() {
-            let layer = &mut self.layers[i];
-            let w = f.binding.bind(f.tape, f.ps, layer.lin.w);
-            let wq = if layer.q_w.is_identity() {
-                w
-            } else {
-                layer.q_w.forward(f, w)
-            };
-            let mut h = f.tape.matmul(x, wq);
-            if let Some(bias) = layer.lin.b {
-                let bv = f.binding.bind(f.tape, f.ps, bias);
-                h = f.tape.add_bias(h, bv);
-            }
-            h = layer.q_lin_out.forward(f, h);
-            let qadj = layer.adj.get(&b.norm, layer.adj_bits);
-            let mut y = f.tape.spmm(&qadj, h);
-            y = layer.q_agg_out.forward(f, y);
+    fn forward(&mut self, f: &mut Fwd, b: &GraphBundle, x: Var) -> Var {
+        let q = &mut self.q;
+        q.set_degrees(b);
+        let mut x = q.dense(f, self.input, x);
+        for layer in &self.layers {
+            let y = layer.forward(f, q, &b.norm, x);
             x = f.tape.relu(y);
         }
+        let [w, out] = self.head_sites;
         let pooled = f.tape.global_max_pool(x, &b.offsets);
-        let head = self.head.clone();
-        let mut out = qlinear(f, &head, &mut self.q_head_w, pooled);
-        out = self.q_head_out.forward(f, out);
-        out
+        let y = q.linear(f, &self.head, w, pooled);
+        q.dense(f, out, y)
     }
 }

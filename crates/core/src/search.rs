@@ -1,18 +1,20 @@
 //! MixQ-GNN bit-width selection — Algorithm 1.
 //!
-//! Builds the relaxed architecture (all quantizers carrying per-bit-width
-//! α logits), trains it on the task loss plus `λ·Σᵢ C(Tᵢ)`, and extracts
-//! the argmax bit-widths. The resulting [`BitAssignment`] is then used to
-//! instantiate and train the corresponding fixed-bit QAT net.
+//! Builds an architecture of [`crate::qnets`] in relaxed mode (every
+//! quantizer carrying per-bit-width α logits), trains it on the task loss
+//! plus `λ·Σᵢ C(Tᵢ)`, and extracts the argmax bit-widths. The resulting
+//! [`BitAssignment`] then builds the same architecture in fixed mode for
+//! QAT retraining.
 
 use mixq_graph::{NodeDataset, NodeTargets};
 use mixq_nn::{
-    CheckpointConfig, EpochDriver, Fwd, GraphBundle, NodeBundle, ParamId, ParamSet, TrainConfig,
+    CheckpointConfig, EpochDriver, Fwd, GraphBundle, GraphNet, NodeBundle, NodeNet, ParamId,
+    ParamSet, TrainConfig,
 };
-use mixq_tensor::{softmax_slice, Rng, Tape, Var};
+use mixq_tensor::{softmax_slice, MixqResult, Rng, Tape, Var};
 
 use crate::bits::BitAssignment;
-use crate::relaxed::{RelaxedGcnGraphNet, RelaxedGcnNet, RelaxedGinGraphNet, RelaxedSageNet};
+use crate::qnets::{Mode, QGcnGraphNet, QGcnNet, QGinGraphNet, QSageNet, Quantized};
 
 /// Hyper-parameters of the relaxed search phase.
 #[derive(Debug, Clone)]
@@ -184,11 +186,9 @@ fn node_task_loss(tape: &mut Tape, logits: Var, ds: &NodeDataset, val: bool) -> 
     }
 }
 
-/// Carves ~20 % of the batch's graphs out as the α-step validation set.
-fn graph_search_split(
-    train: &GraphBundle,
-    seed: u64,
-) -> (Vec<usize>, Vec<usize>, Vec<usize>, Vec<usize>) {
+/// Carves ~20 % of the batch's graphs out as the α-step validation set;
+/// returns the `(rows, targets)` of the training and validation graphs.
+fn graph_search_split(train: &GraphBundle, seed: u64) -> [(Vec<usize>, Vec<usize>); 2] {
     let g = train.num_graphs();
     let mut order: Vec<usize> = (0..g).collect();
     let mut rng = Rng::seed_from_u64(seed ^ 0x5EED);
@@ -196,7 +196,61 @@ fn graph_search_split(
     let nval = (g / 5).max(1);
     let (va, tr) = order.split_at(nval);
     let targets = |rows: &[usize]| rows.iter().map(|&r| train.labels[r]).collect::<Vec<_>>();
-    (tr.to_vec(), targets(tr), va.to_vec(), targets(va))
+    [(tr.to_vec(), targets(tr)), (va.to_vec(), targets(va))]
+}
+
+/// Algorithm 1 on a net built in relaxed mode by `build` (seeded with
+/// `cfg.seed ^ salt`): trains it on `loss(net, f, val)` plus the bit
+/// penalty, then extracts the argmax bit-widths.
+fn search<N: Quantized>(
+    cfg: &SearchConfig,
+    salt: u64,
+    build: impl FnOnce(&mut ParamSet, &mut Rng) -> MixqResult<N>,
+    mut loss: impl FnMut(&mut N, &mut Fwd, bool) -> Var,
+) -> BitAssignment {
+    let mut ps = ParamSet::new();
+    let mut rng = Rng::seed_from_u64(cfg.seed ^ salt);
+    let mut net = build(&mut ps, &mut rng).expect("relaxed sites follow their schema");
+    let alpha_ids = net.sites().alpha_ids();
+    train_relaxed(&mut ps, cfg, &alpha_ids, |f, val| {
+        let loss = loss(&mut net, f, val);
+        (loss, net.sites().take_penalties())
+    });
+    let assignment = net.sites().extract(Some(&ps));
+    record_search_outcome(&assignment);
+    assignment
+}
+
+/// [`search`] for a node classifier on `ds`.
+fn search_node<N: NodeNet + Quantized>(
+    ds: &NodeDataset,
+    bundle: &NodeBundle,
+    cfg: &SearchConfig,
+    salt: u64,
+    build: impl FnOnce(&mut ParamSet, &mut Rng) -> MixqResult<N>,
+) -> BitAssignment {
+    search(cfg, salt, build, |net, f, val| {
+        let x = f.tape.constant(bundle.features.clone());
+        let logits = net.forward(f, bundle, x);
+        node_task_loss(f.tape, logits, ds, val)
+    })
+}
+
+/// [`search`] for a graph classifier on the training batch `train`.
+fn search_graph<N: GraphNet + Quantized>(
+    train: &GraphBundle,
+    cfg: &SearchConfig,
+    salt: u64,
+    build: impl FnOnce(&mut ParamSet, &mut Rng) -> MixqResult<N>,
+) -> BitAssignment {
+    let [train_split, val_split] = graph_search_split(train, cfg.seed);
+    search(cfg, salt, build, |net, f, val| {
+        let x = f.tape.constant(train.features.clone());
+        let logits = net.forward(f, train, x);
+        let lp = f.tape.log_softmax(logits);
+        let (rows, targets) = if val { &val_split } else { &train_split };
+        f.tape.nll_masked(lp, rows, targets)
+    })
 }
 
 /// Searches bit-widths for a multi-layer GCN on a node dataset.
@@ -208,19 +262,9 @@ pub fn search_gcn_bits(
     dropout: f32,
     cfg: &SearchConfig,
 ) -> BitAssignment {
-    let mut ps = ParamSet::new();
-    let mut rng = Rng::seed_from_u64(cfg.seed ^ 0xA1);
-    let mut net = RelaxedGcnNet::new(&mut ps, dims, bit_choices, dropout, &mut rng);
-    let alpha_ids = net.alpha_ids();
-    train_relaxed(&mut ps, cfg, &alpha_ids, |f, val| {
-        let x = f.tape.constant(bundle.features.clone());
-        let (logits, pens) = net.forward(f, bundle, x);
-        let loss = node_task_loss(f.tape, logits, ds, val);
-        (loss, pens)
-    });
-    let assignment = net.extract(&ps);
-    record_search_outcome(&assignment);
-    assignment
+    search_node(ds, bundle, cfg, 0xA1, |ps, rng| {
+        QGcnNet::build(ps, dims, Mode::Relaxed(bit_choices), dropout, rng)
+    })
 }
 
 /// Searches bit-widths for a multi-layer GraphSAGE on a node dataset.
@@ -232,23 +276,12 @@ pub fn search_sage_bits(
     dropout: f32,
     cfg: &SearchConfig,
 ) -> BitAssignment {
-    let mut ps = ParamSet::new();
-    let mut rng = Rng::seed_from_u64(cfg.seed ^ 0xA2);
-    let mut net = RelaxedSageNet::new(&mut ps, dims, bit_choices, dropout, &mut rng);
-    let alpha_ids = net.alpha_ids();
-    train_relaxed(&mut ps, cfg, &alpha_ids, |f, val| {
-        let x = f.tape.constant(bundle.features.clone());
-        let (logits, pens) = net.forward(f, bundle, x);
-        let loss = node_task_loss(f.tape, logits, ds, val);
-        (loss, pens)
-    });
-    let assignment = net.extract(&ps);
-    record_search_outcome(&assignment);
-    assignment
+    search_node(ds, bundle, cfg, 0xA2, |ps, rng| {
+        QSageNet::build(ps, dims, Mode::Relaxed(bit_choices), dropout, rng)
+    })
 }
 
 /// Searches bit-widths for the GIN graph classifier on a training batch.
-#[allow(clippy::too_many_arguments)]
 pub fn search_gin_graph_bits(
     train: &GraphBundle,
     in_dim: usize,
@@ -258,38 +291,13 @@ pub fn search_gin_graph_bits(
     bit_choices: &[u8],
     cfg: &SearchConfig,
 ) -> BitAssignment {
-    let mut ps = ParamSet::new();
-    let mut rng = Rng::seed_from_u64(cfg.seed ^ 0xA3);
-    let mut net = RelaxedGinGraphNet::new(
-        &mut ps,
-        in_dim,
-        hidden,
-        classes,
-        nlayers,
-        bit_choices,
-        &mut rng,
-    );
-    let (tr_rows, tr_targets, va_rows, va_targets) = graph_search_split(train, cfg.seed);
-    let alpha_ids = net.alpha_ids();
-    train_relaxed(&mut ps, cfg, &alpha_ids, |f, val| {
-        let x = f.tape.constant(train.features.clone());
-        let (logits, pens) = net.forward(f, train, x);
-        let lp = f.tape.log_softmax(logits);
-        let (rows, targets) = if val {
-            (&va_rows, &va_targets)
-        } else {
-            (&tr_rows, &tr_targets)
-        };
-        let loss = f.tape.nll_masked(lp, rows, targets);
-        (loss, pens)
-    });
-    let assignment = net.extract(&ps);
-    record_search_outcome(&assignment);
-    assignment
+    let shape = [in_dim, hidden, classes, nlayers];
+    search_graph(train, cfg, 0xA3, |ps, rng| {
+        QGinGraphNet::build(ps, shape, Mode::Relaxed(bit_choices), rng)
+    })
 }
 
 /// Searches bit-widths for the GCN graph classifier (CSL's architecture).
-#[allow(clippy::too_many_arguments)]
 pub fn search_gcn_graph_bits(
     train: &GraphBundle,
     in_dim: usize,
@@ -299,34 +307,10 @@ pub fn search_gcn_graph_bits(
     bit_choices: &[u8],
     cfg: &SearchConfig,
 ) -> BitAssignment {
-    let mut ps = ParamSet::new();
-    let mut rng = Rng::seed_from_u64(cfg.seed ^ 0xA4);
-    let mut net = RelaxedGcnGraphNet::new(
-        &mut ps,
-        in_dim,
-        hidden,
-        classes,
-        nlayers,
-        bit_choices,
-        &mut rng,
-    );
-    let (tr_rows, tr_targets, va_rows, va_targets) = graph_search_split(train, cfg.seed);
-    let alpha_ids = net.alpha_ids();
-    train_relaxed(&mut ps, cfg, &alpha_ids, |f, val| {
-        let x = f.tape.constant(train.features.clone());
-        let (logits, pens) = net.forward(f, train, x);
-        let lp = f.tape.log_softmax(logits);
-        let (rows, targets) = if val {
-            (&va_rows, &va_targets)
-        } else {
-            (&tr_rows, &tr_targets)
-        };
-        let loss = f.tape.nll_masked(lp, rows, targets);
-        (loss, pens)
-    });
-    let assignment = net.extract(&ps);
-    record_search_outcome(&assignment);
-    assignment
+    let shape = [in_dim, hidden, classes, nlayers];
+    search_graph(train, cfg, 0xA4, |ps, rng| {
+        QGcnGraphNet::build(ps, shape, Mode::Relaxed(bit_choices), rng)
+    })
 }
 
 #[cfg(test)]

@@ -1,10 +1,14 @@
 //! Cross-crate integration tests: the full train → quantize → search
 //! pipeline on a small synthetic dataset. Sized to run in debug mode.
 
-use mixq::core::{gcn_schema, search_gcn_bits, BitAssignment, QGcnNet, QuantKind, SearchConfig};
+use std::sync::Arc;
+
+use mixq::core::{
+    gcn_schema, search_gcn_bits, BitAssignment, QGcnNet, QuantKind, RelaxedGcnNet, SearchConfig,
+};
 use mixq::graph::{citation_like, CitationConfig, NodeDataset};
-use mixq::nn::{train_node, GcnNet, NodeBundle, ParamSet, TrainConfig};
-use mixq::tensor::Rng;
+use mixq::nn::{train_node, Binding, Fwd, GcnNet, NodeBundle, NodeNet, ParamSet, TrainConfig};
+use mixq::tensor::{Matrix, Rng, Tape, Var};
 
 fn tiny_dataset(seed: u64) -> NodeDataset {
     citation_like(
@@ -185,4 +189,72 @@ fn a2q_quantizer_trains_on_the_same_pipeline() {
     .expect("assignment matches schema");
     let acc = train_node(&mut net, &mut ps, &ds, &bundle, &train_cfg(0)).test_metric;
     assert!(acc > 0.4, "A2Q accuracy {acc} unexpectedly low");
+}
+
+/// Eval-mode output of `forward` on `features`.
+fn eval_output(
+    ps: &ParamSet,
+    features: &Matrix,
+    forward: impl FnOnce(&mut Fwd, Var) -> Var,
+) -> Matrix {
+    let mut tape = Tape::new();
+    let mut binding = Binding::new();
+    let mut rng = Rng::seed_from_u64(0);
+    let mut f = Fwd {
+        tape: &mut tape,
+        ps,
+        binding: &mut binding,
+        rng: &mut rng,
+        training: false,
+    };
+    let x = f.tape.constant(features.clone());
+    let y = forward(&mut f, x);
+    tape.value(y).clone()
+}
+
+#[test]
+fn relaxed_net_requantizes_a_new_adjacency() {
+    // A relaxed GCN whose menu holds one bit-width is the fixed-bit GCN at
+    // that width: its only α has softmax weight exactly 1. Both must
+    // follow the adjacency they are given. Regression: the relaxed
+    // adjacency quantizer kept the first graph's quantized copy forever.
+    let ds = tiny_dataset(31);
+    let a = NodeBundle::new(&ds);
+    let other = NodeBundle::new(&tiny_dataset(32));
+    let b = NodeBundle {
+        features: a.features.clone(),
+        norm: Arc::clone(&other.norm),
+        mean: Arc::clone(&a.mean),
+        raw: Arc::clone(&a.raw),
+        degrees: a.degrees.clone(),
+    };
+    let dims = [ds.feat_dim(), 16, ds.num_classes()];
+    let mut ps_r = ParamSet::new();
+    let mut relaxed = RelaxedGcnNet::new(&mut ps_r, &dims, &[8], 0.5, &mut Rng::seed_from_u64(3));
+    let mut ps_q = ParamSet::new();
+    let mut fixed = QGcnNet::new(
+        &mut ps_q,
+        &dims,
+        BitAssignment::uniform(gcn_schema(2), 8),
+        QuantKind::Native,
+        &a.degrees,
+        0.5,
+        &mut Rng::seed_from_u64(3),
+    )
+    .unwrap();
+    let mut outputs = Vec::new();
+    for bundle in [&a, &b, &a] {
+        let yr = eval_output(&ps_r, &bundle.features, |f, x| {
+            relaxed.forward(f, bundle, x).0
+        });
+        let yq = eval_output(&ps_q, &bundle.features, |f, x| fixed.forward(f, bundle, x));
+        let diff = yr.max_abs_diff(&yq);
+        assert!(diff < 1e-6, "relaxed and fixed nets differ by {diff}");
+        outputs.push(yq);
+    }
+    assert!(
+        outputs[0].max_abs_diff(&outputs[1]) > 1e-3,
+        "the two adjacencies must give different outputs"
+    );
+    assert_eq!(outputs[0], outputs[2], "returning to the first adjacency");
 }
