@@ -46,13 +46,15 @@ MIXQ_TELEMETRY=1 MIXQ_TELEMETRY_DIR="$drill_dir" \
   --expect-eq counters.qinfer.fallback.layers=1
 rm -rf "$drill_dir"
 
-echo "==> kernel smoke (tiled/naive bit-identity, i32 SpMM path, pool reuse)"
+echo "==> kernel smoke (tiled/naive bit-identity, i32/i64 SpMM and requant paths, pool reuse)"
 kernel_dir="$(mktemp -d)"
 MIXQ_TELEMETRY=1 MIXQ_TELEMETRY_DIR="$kernel_dir" \
   ./target/release/kernel_bench --smoke
 ./target/release/telemetry_check "$kernel_dir/kernel_bench.json" \
   --expect-gt counters.qcsr.spmm.i32_path=0 \
   --expect-gt counters.qcsr.spmm.i64_path=0 \
+  --expect-gt counters.qinfer.requant.i32_path=0 \
+  --expect-gt counters.qinfer.requant.i64_path=0 \
   --expect-gt counters.pool.hit_bytes=0 \
   --expect counters.parallel.balanced_calls
 rm -rf "$kernel_dir"

@@ -1,26 +1,30 @@
 //! Kernel benchmark trajectory: dense tiled-vs-naive GEMM, nnz-balanced
-//! vs row-chunked SpMM on a hub-heavy power-law graph, and the i32
-//! fast-path integer SpMM — written as machine-readable JSON so speedups
-//! can be tracked across commits (`BENCH_kernels.json` at the repo root).
+//! vs row-chunked SpMM on a hub-heavy power-law graph, the i32 fast-path
+//! integer SpMM, and the integer stages of one GCN layer on `products_like`
+//! (Theorem-1 SpMM per bit width, integer matmul + requant) against their
+//! f32 kernels — written as machine-readable JSON so speedups can be tracked
+//! across commits (`BENCH_kernels.json` at the repo root).
 //!
 //! Modes:
 //!
 //! * default — full measurement run; prints a table and writes
 //!   `BENCH_kernels.json` into the current directory.
 //! * `--smoke` — seconds-long CI drill: asserts tiled/naive bit-identity
-//!   on awkward shapes, exercises both `spmm_int` accumulator paths and a
-//!   3-epoch training loop (so the buffer pool sees steady state), then
-//!   writes a telemetry report (`kernel_bench.json`) for `telemetry_check`
-//!   to assert `qcsr.spmm.i32_path > 0` and `pool.hit_bytes > 0`.
+//!   on awkward shapes, exercises both accumulator paths of `spmm_int` and
+//!   of `int_matmul_requant` and a 3-epoch training loop (so the buffer pool
+//!   sees steady state), then writes a telemetry report (`kernel_bench.json`)
+//!   for `telemetry_check` to assert the `qcsr.spmm.*_path` and
+//!   `qinfer.requant.*_path` counters and `pool.hit_bytes > 0`.
 
 use std::path::Path;
 
 use mixq_bench::{bench, BenchRecord};
-use mixq_graph::cora_like;
+use mixq_core::{int_matmul_requant, quantize_csr_symmetric, quantized_spmm, QTensor, QmpParams};
+use mixq_graph::{cora_like, products_like};
 use mixq_nn::{train_node, GcnNet, NodeBundle, ParamSet, TrainConfig};
 use mixq_parallel::{nnz_balanced_bounds, set_num_threads};
-use mixq_sparse::{spmm_int, CsrMatrix, QuantCsr};
-use mixq_tensor::{Matrix, Rng};
+use mixq_sparse::{gcn_normalize, spmm_int, CsrMatrix, QuantCsr};
+use mixq_tensor::{Matrix, QuantParams, Rng};
 
 /// Builds a hub-heavy "power-law" CSR: the first `hubs` rows carry
 /// `hub_nnz` entries each, every other row carries `tail_nnz`. Fronting
@@ -65,6 +69,87 @@ fn int_features(rows: usize, cols: usize, max_abs: i32, seed: u64) -> Vec<i32> {
     (0..rows * cols)
         .map(|_| rng.gen_range(2 * max_abs as usize + 1) as i32 - max_abs)
         .collect()
+}
+
+/// Codes drawn uniformly over the full range of a `bits`-wide quantizer.
+fn full_range_codes(len: usize, bits: u8, rng: &mut Rng) -> Vec<i32> {
+    let (qmin, qmax) = QuantParams::int_range(bits);
+    (0..len)
+        .map(|_| qmin + rng.gen_range((qmax as i64 - qmin as i64 + 1) as usize) as i32)
+        .collect()
+}
+
+/// The integer stages of one GCN layer on `products_like`, single-threaded,
+/// each against its f32 kernel: Theorem-1 SpMM (integer SpMM + fused
+/// correction) per adjacency/activation bit width vs the f32 SpMM, and the
+/// integer matmul + requant of the quantized input features vs the f32
+/// matmul. Returns the INT8 speedups for the summary.
+fn products_layer_records(records: &mut Vec<BenchRecord>) -> (f64, f64) {
+    set_num_threads(1);
+    let ds = products_like(1);
+    let adj = gcn_normalize(&ds.adj);
+    let (n, f) = (ds.num_nodes(), ds.feat_dim());
+    let mut rng = Rng::seed_from_u64(47);
+
+    let spmm_macs = (adj.nnz() * f) as u64;
+    let x: Vec<f32> = (0..n * f).map(|_| rng.normal()).collect();
+    let ns = bench("spmm_f32_products_t1", || {
+        std::hint::black_box(adj.spmm(&x, f));
+    });
+    let spmm_f32 = BenchRecord::new("spmm_f32_products", 1, ns, spmm_macs);
+    let mut spmm_int8 = 0.0;
+    for bits in [4u8, 8, 16] {
+        let (qa, sa) = quantize_csr_symmetric(&adj, bits);
+        let qx = full_range_codes(n * f, bits, &mut rng);
+        let (qmin, qmax) = QuantParams::int_range(bits);
+        let p = QmpParams::per_tensor(n, f, sa, 0, 0.01, 3, 0.02, 0, qmin, qmax);
+        let name = format!("theorem1_spmm_products_int{bits}");
+        let ns = bench(&format!("{name}_t1"), || {
+            std::hint::black_box(quantized_spmm(&qa, &qx, f, &p));
+        });
+        let rec = BenchRecord::new(&name, 1, ns, spmm_macs).vs(&spmm_f32);
+        if bits == 8 {
+            spmm_int8 = rec.speedup.unwrap();
+        }
+        records.push(rec);
+    }
+    records.push(spmm_f32);
+
+    let out_dim = 64usize;
+    let mm_macs = (n * f * out_dim) as u64;
+    let w = Matrix::from_fn(f, out_dim, |_, _| rng.normal() * 0.3);
+    let ns = bench("matmul_products_t1", || {
+        std::hint::black_box(ds.features.matmul(&w));
+    });
+    let matmul_f32 = BenchRecord::new("matmul_products", 1, ns, mm_macs);
+    let (lo, hi) = ds
+        .features
+        .data()
+        .iter()
+        .fold((0f32, 0f32), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    let y = ds.features.matmul(&w);
+    let (ylo, yhi) = y
+        .data()
+        .iter()
+        .fold((0f32, 0f32), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    let wmax = w.data().iter().fold(0f32, |m, &v| m.max(v.abs()));
+    let mut matmul_int8 = 0.0;
+    for bits in [4u8, 8] {
+        let xq = QTensor::quantize(&ds.features, QuantParams::from_min_max(lo, hi, bits));
+        let wq = QTensor::quantize(&w, QuantParams::symmetric(-wmax, wmax, bits));
+        let out_qp = QuantParams::from_min_max(ylo, yhi, bits);
+        let name = format!("int_matmul_requant_products_{bits}");
+        let ns = bench(&format!("{name}_t1"), || {
+            std::hint::black_box(int_matmul_requant(&xq, &wq, None, out_qp));
+        });
+        let rec = BenchRecord::new(&name, 1, ns, mm_macs).vs(&matmul_f32);
+        if bits == 8 {
+            matmul_int8 = rec.speedup.unwrap();
+        }
+        records.push(rec);
+    }
+    records.push(matmul_f32);
+    (spmm_int8, matmul_int8)
 }
 
 /// Full measurement run: the headline numbers are the single-thread tiled
@@ -164,6 +249,8 @@ fn full_run() {
     records.push(wide);
     records.push(narrow);
 
+    let (spmm_int8_vs_f32, matmul_int8_vs_f32) = products_layer_records(&mut records);
+
     // Thread-count records only mean what they say relative to the host:
     // on a single-CPU box the 4-thread schedules time-slice one core, so
     // the balanced-vs-row-chunked wall-clock gap collapses to scheduling
@@ -194,6 +281,11 @@ fn full_run() {
         ("spmm_balanced_t4_vs_serial", ns_serial / ns_bal),
         ("spmm_imbalance_row_chunked_t4", imbalance_rows),
         ("spmm_imbalance_balanced_t4", imbalance_bal),
+        ("theorem1_spmm_int8_vs_f32_products_t1", spmm_int8_vs_f32),
+        (
+            "int_matmul_requant_8_vs_f32_products_t1",
+            matmul_int8_vs_f32,
+        ),
     ];
     let path = Path::new("BENCH_kernels.json");
     match mixq_bench::write_json(path, &records, &summary) {
@@ -252,6 +344,19 @@ fn smoke_run() {
     let y_wide = spmm_int(&qa_big, &xi_big, f);
     assert_eq!(y_narrow.len(), 400 * f);
     assert_eq!(y_wide.len(), 400 * f);
+
+    // Both `int_matmul_requant` accumulator paths, by the same magnitude
+    // dispatch: 8-bit codes over 24 inputs stay within i32 (24 · 255 · 255),
+    // 16-bit ones, thousands of codes from their zero-points, exceed it.
+    for bits in [8u8, 16] {
+        let mut rng = Rng::seed_from_u64(53);
+        let x = Matrix::from_fn(40, 24, |_, _| rng.normal().max(0.0));
+        let w = Matrix::from_fn(24, 12, |_, _| rng.normal());
+        let xq = QTensor::quantize(&x, QuantParams::from_min_max(0.0, 3.0, bits));
+        let wq = QTensor::quantize(&w, QuantParams::from_min_max(-3.0, 3.0, bits));
+        let out = int_matmul_requant(&xq, &wq, None, QuantParams::from_min_max(-9.0, 9.0, 8));
+        assert_eq!(out.data.len(), 40 * 12);
+    }
 
     // Balanced and row-chunked f32 schedules agree bit-for-bit.
     let x = dense_features(400, f, 41);

@@ -3,21 +3,24 @@
 //! After quantization-aware training, fake quantizers are removed and the
 //! architecture executes on integer codes (Fig. 5(iv)): weights and the
 //! adjacency are quantized once, activations flow as `i32` codes, dense
-//! products accumulate in `i64` and are requantized with *fixed-point*
-//! multipliers (Jacob et al. [30]) — no floating point in the dense hot
-//! loop. Sparse aggregation uses [`crate::theorem1::quantized_spmm`].
+//! products accumulate in `i32` (or `i64` when a bound on the codes does not
+//! rule out overflow) and are requantized with *fixed-point* multipliers
+//! (Jacob et al. [30]) — no floating point in the dense hot loop. Sparse
+//! aggregation uses [`crate::theorem1::quantized_spmm`].
 
 use mixq_faultinject::FaultKind;
-use mixq_sparse::{CooEntry, CsrMatrix, QuantCsr};
+use mixq_sparse::{CooEntry, CsrMatrix, IntAcc, QuantCsr};
 use mixq_tensor::{Matrix, QuantParams};
 
 use crate::theorem1::{quantized_spmm, QmpParams};
 
 // ---- accumulator-saturation analysis ----------------------------------------
 //
-// Both integer kernels accumulate in `i64`. For sane bit-widths the
-// worst-case accumulator magnitude is nowhere near `i64::MAX`, but the
-// engine should *prove* that per layer instead of assuming it: `prepare`
+// Both integer kernels accumulate in `i32` when the codes of a call bound
+// every partial sum below `i32::MAX`, and in `i64` otherwise. For sane
+// bit-widths the worst-case accumulator magnitude is nowhere near
+// `i64::MAX`, but the engine should *prove* that per layer instead of
+// assuming it: `prepare`
 // computes a static a-priori bound (in `i128`, so the analysis itself
 // cannot overflow) and, if it crosses [`ACC_SAT_LIMIT`], freezes the layer
 // with a fake-quantized `f32` fallback instead of the integer kernels. The
@@ -178,16 +181,112 @@ pub fn fixed_point_multiply(acc: i64, m0: i32, rshift: i32) -> i64 {
     ((prod + round) >> total) as i64
 }
 
+/// [`fixed_point_multiply`] in `i64`, exact when `|acc| ≤ i32::MAX` and
+/// `31 + rshift ≤ 62`: then `|acc·m0| < 2^62` and the rounding term is at
+/// most `2^61`, so the sum stays below `2^63`, and the arithmetic shift
+/// floors exactly as the `i128` one does.
+#[inline(always)]
+fn fixed_point_multiply_i64(acc: i64, m0: i32, rshift: i32) -> i64 {
+    let total = 31 + rshift;
+    (acc * m0 as i64 + (1i64 << (total - 1))) >> total
+}
+
+/// Largest `|v − z|` over `codes` (`0` when empty), in `i64`.
+fn max_centered(codes: &[i32], z: i32) -> i64 {
+    codes
+        .iter()
+        .map(|&v| (v as i64 - z as i64).abs())
+        .max()
+        .unwrap_or(0)
+}
+
+/// `true` iff [`int_matmul_requant`] may run narrow: every centered code
+/// and every prefix `bias + Σ_k (x−zx)(w−zw)` of every accumulator fits in
+/// `i32`, and the requant shift admits [`fixed_point_multiply_i64`]. The
+/// bound is taken from the codes themselves, so it holds for any
+/// [`QTensor`]; for codes within their quantizer's range it is never above
+/// the static [`matmul_acc_bound`] of `prepare`.
+fn requant_fits_i32(x: &QTensor, w: &QTensor, bias_int: &[i64], rshift: i32) -> bool {
+    let xmax = max_centered(&x.data, x.qp.zero_point);
+    let wmax = max_centered(&w.data, w.qp.zero_point);
+    let bmax = bias_int.iter().map(|b| b.abs()).max().unwrap_or(0);
+    let bound = x.cols as i128 * xmax as i128 * wmax as i128 + bmax as i128;
+    let lim = i32::MAX as i128;
+    bound <= lim && xmax as i128 <= lim && wmax as i128 <= lim && 31 + rshift <= 62
+}
+
+/// Row loop of [`int_matmul_requant`], monomorphized per accumulator:
+/// `out[i,j] = requant(bias[j] + Σ_k (x[i,k] − zx)·wc[k,j])` with the weight
+/// zero-point already subtracted in `wc`. Zero-code inputs (most post-ReLU
+/// activations) are skipped: each row's non-zero `(k, x[i,k] − zx)` pairs
+/// are first compacted without a branch, since zero codes fall at random
+/// and a per-element skip branch mispredicts on about every other one.
+fn matmul_requant_rows<A: IntAcc>(
+    x: &QTensor,
+    wc: &[A],
+    bias: &[A],
+    out: &mut [i32],
+    requant: impl Fn(A) -> i32 + Sync,
+) {
+    let cols = bias.len();
+    let zx = A::from_code(x.qp.zero_point);
+    // Output rows are independent: partition them across threads, each with
+    // its own accumulator row. Integer arithmetic ⇒ exact at any count.
+    mixq_parallel::par_row_chunks_mut(out, x.rows, cols, |start, chunk| {
+        let mut acc_row = bias.to_vec();
+        let mut nz_k = vec![0usize; x.cols];
+        let mut nz_a = vec![A::default(); x.cols];
+        for (di, orow) in chunk.chunks_mut(cols).enumerate() {
+            let i = start + di;
+            let mut nz = 0;
+            for (k, &xv) in x.data[i * x.cols..(i + 1) * x.cols].iter().enumerate() {
+                let a = A::from_code(xv) - zx;
+                nz_k[nz] = k;
+                nz_a[nz] = a;
+                nz += (a != A::default()) as usize;
+            }
+            acc_row.copy_from_slice(bias);
+            for (&k, &a) in nz_k[..nz].iter().zip(&nz_a[..nz]) {
+                let wrow = &wc[k * cols..(k + 1) * cols];
+                for (o, &wv) in acc_row.iter_mut().zip(wrow) {
+                    *o += a * wv;
+                }
+            }
+            for (o, &acc) in orow.iter_mut().zip(&acc_row) {
+                *o = requant(acc);
+            }
+        }
+    });
+}
+
 /// Integer dense product with requantization:
 /// `out = clip(round((Σ (qx−zx)(qw−zw) + bias_int) · Sx·Sw/So) + zo)`.
 ///
 /// The bias is folded into the accumulator at scale `Sx·Sw` (the standard
-/// integer-only-inference recipe).
+/// integer-only-inference recipe). When the codes bound every partial sum
+/// and centered code within `i32` (see `requant_fits_i32`), rows
+/// accumulate in `i32` (twice the SIMD lanes of `i64`) and
+/// requantize with an `i64` product; otherwise in `i64` with an `i128`
+/// product. Both are exact, so the dispatch is invisible numerically; the
+/// telemetry counters `qinfer.requant.i32_path` / `qinfer.requant.i64_path`
+/// record which one ran.
 pub fn int_matmul_requant(
     x: &QTensor,
     w: &QTensor,
     bias: Option<&[f32]>,
     out_qp: QuantParams,
+) -> QTensor {
+    int_matmul_requant_on(x, w, bias, out_qp, true)
+}
+
+/// [`int_matmul_requant`] with the narrow path allowed or not, so tests can
+/// hold the two paths against each other on the same operands.
+fn int_matmul_requant_on(
+    x: &QTensor,
+    w: &QTensor,
+    bias: Option<&[f32]>,
+    out_qp: QuantParams,
+    allow_narrow: bool,
 ) -> QTensor {
     assert_eq!(x.cols, w.rows, "int_matmul: inner dimensions differ");
     let acc_scale = x.qp.scale as f64 * w.qp.scale as f64;
@@ -201,34 +300,37 @@ pub fn int_matmul_requant(
         }
         None => vec![0; w.cols],
     };
-    let (zx, zw) = (x.qp.zero_point as i64, w.qp.zero_point as i64);
+    let (zo, qmin, qmax) = (
+        out_qp.zero_point as i64,
+        out_qp.qmin as i64,
+        out_qp.qmax as i64,
+    );
+    let zw = w.qp.zero_point as i64;
     let mut out = vec![0i32; x.rows * w.cols];
-    // Output rows are independent: partition them across threads, each with
-    // its own accumulator row. Integer arithmetic ⇒ exact at any count.
-    mixq_parallel::par_row_chunks_mut(&mut out, x.rows, w.cols, |start, chunk| {
-        let mut acc_row = vec![0i64; w.cols];
-        for (di, orow) in chunk.chunks_mut(w.cols).enumerate() {
-            let i = start + di;
-            acc_row.copy_from_slice(&bias_int);
-            for k in 0..x.cols {
-                let a = x.data[i * x.cols + k] as i64 - zx;
-                if a == 0 {
-                    continue;
-                }
-                let wrow = &w.data[k * w.cols..(k + 1) * w.cols];
-                for (o, &wv) in acc_row.iter_mut().zip(wrow.iter()) {
-                    *o += a * (wv as i64 - zw);
-                }
-            }
-            for (o, &acc) in orow.iter_mut().zip(acc_row.iter()) {
-                let q = fixed_point_multiply(acc, m0, rshift) + out_qp.zero_point as i64;
-                *o = q.clamp(out_qp.qmin as i64, out_qp.qmax as i64) as i32;
-            }
-        }
-    });
+    let narrow = allow_narrow && requant_fits_i32(x, w, &bias_int, rshift);
+    if narrow {
+        let wc: Vec<i32> = w.data.iter().map(|&v| (v as i64 - zw) as i32).collect();
+        let bias: Vec<i32> = bias_int.iter().map(|&b| b as i32).collect();
+        matmul_requant_rows(x, &wc, &bias, &mut out, |acc: i32| {
+            let q = fixed_point_multiply_i64(acc as i64, m0, rshift) + zo;
+            q.clamp(qmin, qmax) as i32
+        });
+    } else {
+        let wc: Vec<i64> = w.data.iter().map(|&v| v as i64 - zw).collect();
+        matmul_requant_rows(x, &wc, &bias_int, &mut out, |acc: i64| {
+            let q = fixed_point_multiply(acc, m0, rshift) + zo;
+            q.clamp(qmin, qmax) as i32
+        });
+    }
     if mixq_telemetry::enabled() {
         mixq_telemetry::counter_add("qinfer.requant.calls", 1);
         mixq_telemetry::counter_add("qinfer.requant.elems", out.len() as u64);
+        let path = if narrow {
+            "qinfer.requant.i32_path"
+        } else {
+            "qinfer.requant.i64_path"
+        };
+        mixq_telemetry::counter_add(path, 1);
     }
     QTensor {
         rows: x.rows,
@@ -570,6 +672,125 @@ mod tests {
         assert!(scale > 0.0);
         // The largest value maps to qmax.
         assert_eq!(q.values().iter().copied().max(), Some(127));
+    }
+
+    /// Integer codes with the given parameters (no quantization involved).
+    fn qtensor(rows: usize, cols: usize, data: Vec<i32>, scale: f32, zp: i32, bits: u8) -> QTensor {
+        let (qmin, qmax) = QuantParams::int_range(bits);
+        QTensor {
+            rows,
+            cols,
+            data,
+            qp: QuantParams {
+                scale,
+                zero_point: zp,
+                qmin,
+                qmax,
+                bits,
+            },
+        }
+    }
+
+    #[test]
+    fn i64_requant_matches_i128_requant_over_admissible_shifts() {
+        let mut rng = mixq_tensor::Rng::seed_from_u64(17);
+        let mut accs = vec![0i64, 1, -1, 2, -2, i32::MAX as i64, -(i32::MAX as i64)];
+        accs.extend(
+            (0..200)
+                .map(|_| rng.gen_range(1 << 31) as i64 * if rng.bernoulli(0.5) { 1 } else { -1 }),
+        );
+        let mut m0s = vec![1i32 << 30, (1i32 << 30) + 1, i32::MAX - 1, i32::MAX];
+        m0s.extend((0..20).map(|_| (1i32 << 30) + rng.gen_range(1 << 30) as i32));
+        // 31 + rshift ∈ [1, 62]: every shift `quantize_multiplier` can return
+        // that the narrow path admits.
+        for rshift in -30..=31 {
+            for &m0 in &m0s {
+                for &acc in &accs {
+                    assert_eq!(
+                        fixed_point_multiply_i64(acc, m0, rshift),
+                        fixed_point_multiply(acc, m0, rshift),
+                        "acc={acc} m0={m0} rshift={rshift}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_requant_matches_wide_on_random_layers() {
+        let mut rng = mixq_tensor::Rng::seed_from_u64(29);
+        for case in 0..40 {
+            let bits = [4u8, 8][case % 2];
+            let (qmin, qmax) = QuantParams::int_range(bits);
+            let code = |rng: &mut mixq_tensor::Rng| {
+                qmin + rng.gen_range((qmax - qmin + 1) as usize) as i32
+            };
+            let (n, k, m) = (
+                1 + rng.gen_range(9),
+                1 + rng.gen_range(40),
+                1 + rng.gen_range(20),
+            );
+            let zx = code(&mut rng);
+            // Half the inputs sit at the zero code, as after a ReLU.
+            let xd = (0..n * k)
+                .map(|_| {
+                    if rng.bernoulli(0.5) {
+                        zx
+                    } else {
+                        code(&mut rng)
+                    }
+                })
+                .collect();
+            let x = qtensor(n, k, xd, rng.uniform_in(0.01, 0.2), zx, bits);
+            let wd = (0..k * m).map(|_| code(&mut rng)).collect();
+            let w = qtensor(k, m, wd, rng.uniform_in(0.01, 0.2), code(&mut rng), bits);
+            let bias: Vec<f32> = (0..m).map(|_| rng.uniform_in(-2.0, 2.0)).collect();
+            let out_qp = QuantParams::from_min_max(-4.0, 4.0, bits);
+            for b in [None, Some(bias.as_slice())] {
+                let narrow = int_matmul_requant(&x, &w, b, out_qp);
+                let wide = int_matmul_requant_on(&x, &w, b, out_qp, false);
+                assert_eq!(narrow.data, wide.data, "case {case}, bias {}", b.is_some());
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_requant_boundary_is_exact_with_and_without_bias() {
+        // Unit scales and zero-points: the accumulator is the plain dot
+        // product plus the bias, and `requant_fits_i32`'s bound is attained.
+        let full = 32767;
+        let out_qp = QuantParams {
+            scale: (1u32 << 24) as f32,
+            zero_point: 0,
+            qmin: -128,
+            qmax: 127,
+            bits: 8,
+        };
+        let run = |k: usize, bias: Option<f32>| {
+            let x = qtensor(1, k, vec![full; k], 1.0, 0, 16);
+            let w = qtensor(k, 1, vec![full; k], 1.0, 0, 16);
+            let bias_int: Vec<i64> = vec![bias.unwrap_or(0.0) as i64];
+            let (_, rshift) = quantize_multiplier(1.0 / out_qp.scale as f64);
+            let fits = requant_fits_i32(&x, &w, &bias_int, rshift);
+            let b = bias.map(|v| vec![v]);
+            let got = int_matmul_requant(&x, &w, b.as_deref(), out_qp);
+            let wide = int_matmul_requant_on(&x, &w, b.as_deref(), out_qp, false);
+            assert_eq!(got.data, wide.data, "k={k} bias={bias:?}");
+            // Reference: the exact accumulator through the i128 requant.
+            let acc = k as i64 * full as i64 * full as i64 + bias_int[0];
+            let (m0, rshift) = quantize_multiplier(1.0 / out_qp.scale as f64);
+            let want = fixed_point_multiply(acc, m0, rshift).clamp(-128, 127) as i32;
+            assert_eq!(got.data, vec![want], "k={k} bias={bias:?}");
+            (fits, acc)
+        };
+        // Without bias: 2 terms fit (2147352578 ≤ i32::MAX), 3 do not.
+        assert_eq!(run(2, None), (true, 2 * 32767 * 32767));
+        assert!(!run(3, None).0);
+        // With bias: filling the gap to i32::MAX exactly stays narrow, one
+        // more unit crosses over.
+        let gap = (i32::MAX as i64 - 2 * 32767 * 32767) as f32;
+        assert_eq!(run(2, Some(gap)), (true, i32::MAX as i64));
+        assert!(!run(2, Some(gap + 1.0)).0);
     }
 }
 

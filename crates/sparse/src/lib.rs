@@ -9,8 +9,9 @@
 //!   built from COO triplets, with transpose, degree and normalization
 //!   helpers.
 //! * [`CsrMatrix::spmm`] — the float sparse × dense product `Y = A · X`.
-//! * [`QuantCsr`] and [`spmm_int`] — integer CSR values and the integer
-//!   sparse × dense product with `i64` accumulation, used by the quantized
+//! * [`QuantCsr`], [`spmm_int`] and [`spmm_int_with`] — integer CSR values
+//!   and the integer sparse × dense row kernel (`i32` or `i64`
+//!   accumulators, with a fused per-row epilogue), used by the quantized
 //!   message-passing path of Theorem 1.
 //!
 //! All kernels operate on raw row-major slices (`&[f32]`, `&[i32]`) plus
@@ -23,4 +24,4 @@ mod qcsr;
 
 pub use csr::{CooEntry, CsrMatrix};
 pub use norm::{gcn_normalize, row_normalize, sym_laplacian};
-pub use qcsr::{spmm_int, QuantCsr};
+pub use qcsr::{spmm_int, spmm_int_with, IntAcc, QuantCsr, RowEpilogue};

@@ -4,9 +4,16 @@
 //! `Q_a(A) · Q_x(X)` where both operands hold small integers. Values are
 //! stored as `i32` regardless of the logical bit-width (2/4/8/16 bits) —
 //! hardware would pack them, but the *numerical* behaviour only depends on
-//! the clipping range, which the quantizer enforces. Products are
-//! accumulated in `i64` so that no intermediate overflow is possible for any
-//! realistic graph size (|row| · 2^(ba-1) · 2^(bx-1) ≪ 2^63).
+//! the clipping range, which the quantizer enforces.
+//!
+//! There is one row kernel, [`spmm_int_with`]. It accumulates each output
+//! row in `i32` when a static bound proves every partial sum fits (for
+//! 8-bit codes, rows up to ~130k non-zeros), else in `i64`, and hands the
+//! finished row to a per-row [`RowEpilogue`] while it is still in L1.
+//! [`spmm_int`] is that kernel with a widening epilogue; Theorem 1's
+//! `quantized_spmm` (in `mixq-core`) fuses its zero-point correction and
+//! requantization there, so no `rows × cols` accumulator matrix is ever
+//! materialized.
 
 use crate::csr::CsrMatrix;
 
@@ -97,74 +104,133 @@ impl QuantCsr {
     }
 }
 
-/// Integer sparse × dense product `Y = Q_a(A) · Q_x(X)`. `x` is row-major
-/// with `x_cols` columns. Output rows are partitioned across the
-/// `mixq-parallel` runtime at nnz-balanced boundaries; integer accumulation
-/// is associative, so the result is exact at any thread count and under any
-/// row partition.
+/// Accumulator of the integer kernels: `i32` when a static bound proves
+/// every partial sum fits (twice the SIMD lanes, half the traffic), else
+/// `i64`. Both are exact, so the choice is invisible numerically.
+pub trait IntAcc:
+    Copy
+    + Default
+    + PartialEq
+    + Send
+    + Sync
+    + std::ops::AddAssign
+    + std::ops::Sub<Output = Self>
+    + std::ops::Mul<Output = Self>
+    + Into<i64>
+{
+    /// Converts one `i32` code; exact for every code the dispatch routes here.
+    fn from_code(v: i32) -> Self;
+}
+
+impl IntAcc for i32 {
+    #[inline(always)]
+    fn from_code(v: i32) -> Self {
+        v
+    }
+}
+
+impl IntAcc for i64 {
+    #[inline(always)]
+    fn from_code(v: i32) -> Self {
+        v as i64
+    }
+}
+
+/// Per-row epilogue of [`spmm_int_with`]: turns one finished accumulator row
+/// into one output row, while that row is still hot in L1.
+///
+/// A trait rather than a closure because the method is generic over the
+/// accumulator the dispatch picked.
+pub trait RowEpilogue<T>: Sync {
+    /// Writes output row `r` from `acc[j] = Σ_c Q_a(A)_{r,c}·x[c,j]` and the
+    /// row's code sum `row_sum = Σ_c Q_a(A)_{r,c}` (always `i64`: it is not
+    /// covered by the accumulator bound when `x` is all zero).
+    fn finish<A: IntAcc>(&self, r: usize, acc: &[A], row_sum: i64, out: &mut [T]);
+}
+
+/// The plain widening epilogue of [`spmm_int`].
+struct Widen;
+
+impl RowEpilogue<i64> for Widen {
+    #[inline(always)]
+    fn finish<A: IntAcc>(&self, _r: usize, acc: &[A], _row_sum: i64, out: &mut [i64]) {
+        for (o, &v) in out.iter_mut().zip(acc) {
+            *o = v.into();
+        }
+    }
+}
+
+/// Integer sparse × dense product `Y = Q_a(A) · Q_x(X)`, returned in `i64`.
+/// `x` is row-major with `x_cols` columns. See [`spmm_int_with`] for the
+/// schedule and the accumulator dispatch.
+pub fn spmm_int(a: &QuantCsr, x: &[i32], x_cols: usize) -> Vec<i64> {
+    spmm_int_with(a, x, x_cols, &Widen)
+}
+
+/// The integer SpMM row kernel with a fused per-row epilogue: accumulates
+/// row `r` of `Q_a(A) · Q_x(X)` (and its code sum) into one scratch row, then
+/// hands both to `ep`, which writes output row `r`. No `rows × x_cols`
+/// intermediate exists and no second pass runs.
+///
+/// Output rows are partitioned across the `mixq-parallel` runtime at
+/// nnz-balanced boundaries; integer accumulation is associative, so the
+/// result is exact at any thread count and under any row partition.
 ///
 /// When the static per-row bound `max_row_nnz × max|a| × max|x|` fits in
 /// `i32` — which every prefix of every row's accumulation then also
-/// satisfies — the kernel accumulates in `i32` (half the store traffic,
-/// twice the SIMD lanes) and widens once at the end; otherwise it falls back
-/// to the `i64` path. Both paths are exact, so the dispatch is invisible
-/// numerically; the telemetry counters `qcsr.spmm.i32_path` /
-/// `qcsr.spmm.i64_path` record which one ran.
-pub fn spmm_int(a: &QuantCsr, x: &[i32], x_cols: usize) -> Vec<i64> {
+/// satisfies — the rows accumulate in `i32`, otherwise in `i64`. The
+/// telemetry counters `qcsr.spmm.i32_path` / `qcsr.spmm.i64_path` record
+/// which one ran.
+pub fn spmm_int_with<T: Send + Copy + Default>(
+    a: &QuantCsr,
+    x: &[i32],
+    x_cols: usize,
+    ep: &impl RowEpilogue<T>,
+) -> Vec<T> {
     assert_eq!(
         x.len(),
         a.cols * x_cols,
         "spmm_int: dense operand has wrong size"
     );
     let t0 = mixq_telemetry::kernel_start();
-    let mut y = vec![0i64; a.rows * x_cols];
+    let mut y = vec![T::default(); a.rows * x_cols];
     if spmm_fits_i32(a, x) {
         mixq_telemetry::counter_add("qcsr.spmm.i32_path", 1);
-        let mut narrow = vec![0i32; a.rows * x_cols];
-        mixq_parallel::par_row_chunks_mut_balanced(
-            &mut narrow,
-            a.rows,
-            x_cols,
-            &a.row_ptr,
-            |start, chunk| {
-                for (dr, out) in chunk.chunks_mut(x_cols).enumerate() {
-                    let r = start + dr;
-                    for i in a.row_ptr[r]..a.row_ptr[r + 1] {
-                        let c = a.col_idx[i];
-                        let v = a.values[i];
-                        let xr = &x[c * x_cols..(c + 1) * x_cols];
-                        for (o, &xv) in out.iter_mut().zip(xr.iter()) {
-                            *o += v * xv;
-                        }
-                    }
-                }
-            },
-        );
-        mixq_parallel::par_map_slice(&narrow, &mut y, |v| v as i64);
+        spmm_rows::<i32, T>(a, x, x_cols, ep, &mut y);
     } else {
         mixq_telemetry::counter_add("qcsr.spmm.i64_path", 1);
-        mixq_parallel::par_row_chunks_mut_balanced(
-            &mut y,
-            a.rows,
-            x_cols,
-            &a.row_ptr,
-            |start, chunk| {
-                for (dr, out) in chunk.chunks_mut(x_cols).enumerate() {
-                    let r = start + dr;
-                    for i in a.row_ptr[r]..a.row_ptr[r + 1] {
-                        let c = a.col_idx[i];
-                        let v = a.values[i] as i64;
-                        let xr = &x[c * x_cols..(c + 1) * x_cols];
-                        for (o, &xv) in out.iter_mut().zip(xr.iter()) {
-                            *o += v * xv as i64;
-                        }
-                    }
-                }
-            },
-        );
+        spmm_rows::<i64, T>(a, x, x_cols, ep, &mut y);
     }
     mixq_telemetry::kernel_finish("sparse.spmm_int", t0, (a.nnz() * x_cols) as u64);
     y
+}
+
+/// The one row loop behind [`spmm_int_with`], monomorphized per accumulator.
+fn spmm_rows<A: IntAcc, T: Send + Copy + Default>(
+    a: &QuantCsr,
+    x: &[i32],
+    x_cols: usize,
+    ep: &impl RowEpilogue<T>,
+    y: &mut [T],
+) {
+    mixq_parallel::par_row_chunks_mut_balanced(y, a.rows, x_cols, &a.row_ptr, |start, chunk| {
+        let mut acc = vec![A::default(); x_cols];
+        for (dr, out) in chunk.chunks_mut(x_cols).enumerate() {
+            let r = start + dr;
+            acc.fill(A::default());
+            let mut row_sum = 0i64;
+            for i in a.row_ptr[r]..a.row_ptr[r + 1] {
+                let c = a.col_idx[i];
+                row_sum += a.values[i] as i64;
+                let v = A::from_code(a.values[i]);
+                let xr = &x[c * x_cols..(c + 1) * x_cols];
+                for (o, &xv) in acc.iter_mut().zip(xr) {
+                    *o += v * A::from_code(xv);
+                }
+            }
+            ep.finish(r, &acc, row_sum, out);
+        }
+    });
 }
 
 /// `true` iff every intermediate of every row accumulation provably fits in
