@@ -217,10 +217,8 @@ fn requant_fits_i32(x: &QTensor, w: &QTensor, bias_int: &[i64], rshift: i32) -> 
 
 /// Row loop of [`int_matmul_requant`], monomorphized per accumulator:
 /// `out[i,j] = requant(bias[j] + Σ_k (x[i,k] − zx)·wc[k,j])` with the weight
-/// zero-point already subtracted in `wc`. Zero-code inputs (most post-ReLU
-/// activations) are skipped: each row's non-zero `(k, x[i,k] − zx)` pairs
-/// are first compacted without a branch, since zero codes fall at random
-/// and a per-element skip branch mispredicts on about every other one.
+/// zero-point already subtracted in `wc`. Inputs at the zero code (most of
+/// a ReLU'd layer input) are skipped.
 fn matmul_requant_rows<A: IntAcc>(
     x: &QTensor,
     wc: &[A],
@@ -234,19 +232,14 @@ fn matmul_requant_rows<A: IntAcc>(
     // its own accumulator row. Integer arithmetic ⇒ exact at any count.
     mixq_parallel::par_row_chunks_mut(out, x.rows, cols, |start, chunk| {
         let mut acc_row = bias.to_vec();
-        let mut nz_k = vec![0usize; x.cols];
-        let mut nz_a = vec![A::default(); x.cols];
         for (di, orow) in chunk.chunks_mut(cols).enumerate() {
             let i = start + di;
-            let mut nz = 0;
+            acc_row.copy_from_slice(bias);
             for (k, &xv) in x.data[i * x.cols..(i + 1) * x.cols].iter().enumerate() {
                 let a = A::from_code(xv) - zx;
-                nz_k[nz] = k;
-                nz_a[nz] = a;
-                nz += (a != A::default()) as usize;
-            }
-            acc_row.copy_from_slice(bias);
-            for (&k, &a) in nz_k[..nz].iter().zip(&nz_a[..nz]) {
+                if a == A::default() {
+                    continue;
+                }
                 let wrow = &wc[k * cols..(k + 1) * cols];
                 for (o, &wv) in acc_row.iter_mut().zip(wrow) {
                     *o += a * wv;

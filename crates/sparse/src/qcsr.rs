@@ -89,19 +89,6 @@ impl QuantCsr {
             .max()
             .unwrap_or(0)
     }
-
-    /// Integer row sums `Σ_c Q_a(A)_{r,c}`, needed by Theorem 1's zero-point
-    /// correction term.
-    pub fn row_sums_i64(&self) -> Vec<i64> {
-        (0..self.rows)
-            .map(|r| {
-                self.values[self.row_ptr[r]..self.row_ptr[r + 1]]
-                    .iter()
-                    .map(|&v| v as i64)
-                    .sum()
-            })
-            .collect()
-    }
 }
 
 /// Accumulator of the integer kernels: `i32` when a static bound proves
@@ -300,9 +287,8 @@ mod tests {
     }
 
     #[test]
-    fn row_sums_match() {
+    fn max_row_nnz_matches() {
         let q = QuantCsr::from_csr(&sample(), 4, |_, _, v| v as i32);
-        assert_eq!(q.row_sums_i64(), vec![-1, 3]);
         assert_eq!(q.max_row_nnz(), 2);
     }
 
